@@ -106,8 +106,21 @@ OptimizationOutcome DesignFlow::optimize(const std::string& objective, bool maxi
                                          const std::vector<ResponseConstraint>& constraints,
                                          bool confirm_with_simulation) {
     const rsm::ResponseSurface& obj_surface = surface(objective);
-    // Make sure constrained surfaces exist before building the closure.
-    for (const auto& c : constraints) surface(c.response);
+    // Every surface of a flow is fitted on the same ModelSpec, so one model
+    // row per query point serves the objective and every constraint.
+    const rsm::ModelSpec& model = obj_surface.fit().model;
+    struct Limit {
+        const num::Vector* coefficients;
+        double min, max;
+    };
+    std::vector<Limit> limits;
+    limits.reserve(constraints.size());
+    for (const auto& c : constraints) {
+        const rsm::FitResult& fit = surface(c.response).fit();
+        if (fit.model.terms() != model.terms())
+            throw std::logic_error("DesignFlow::optimize: surfaces fitted on different models");
+        limits.push_back({&fit.coefficients, c.min, c.max});
+    }
 
     // Penalty scale: the objective's observed spread keeps the penalty
     // meaningfully dominant without destroying conditioning.
@@ -121,12 +134,15 @@ OptimizationOutcome DesignFlow::optimize(const std::string& objective, bool maxi
     const double penalty_w = 1e3 * spread;
 
     std::size_t rsm_evals = 0;
+    const num::Vector& objective_coefficients = obj_surface.fit().coefficients;
+    num::Vector row(model.num_terms());
     auto penalized = [&](const num::Vector& x) {
         ++rsm_evals;
-        double v = obj_surface.value(x);
+        model.compiled().row(x.data(), row.data());
+        double v = num::dot(row, objective_coefficients);
         if (maximize) v = -v;
-        for (const auto& c : constraints) {
-            const double r = surfaces_.at(c.response).value(x);
+        for (const Limit& c : limits) {
+            const double r = num::dot(row, *c.coefficients);
             if (r < c.min) {
                 const double d = (c.min - r) / spread;
                 v += penalty_w * d * d;

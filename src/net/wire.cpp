@@ -307,11 +307,11 @@ void encode_welcome(std::vector<unsigned char>& out, std::uint64_t status,
 
 bool write_welcome(int fd, std::uint64_t status, const std::string& message,
                    std::uint32_t version, std::uint64_t server_now_us) {
-    if (!write_u64(fd, status)) return false;
-    if (status == kStatusOk) {
-        return version >= 5 ? write_u64(fd, server_now_us) : true;
-    }
-    return write_u64(fd, message.size()) && write_all(fd, message.data(), message.size());
+    // One send per frame: a frame split over two writes waits on Nagle
+    // until the peer's delayed ACK.
+    std::vector<unsigned char> scratch;
+    encode_welcome(scratch, status, message, version, server_now_us);
+    return write_all(fd, scratch.data(), scratch.size());
 }
 
 bool read_welcome(int fd, std::uint64_t& status, std::string& message, std::uint32_t version,
@@ -600,9 +600,15 @@ bool read_store_put_request_body(int fd, std::vector<StoreEntry>& entries) {
 
 bool write_store_put_reply(int fd, std::uint64_t status, std::uint64_t appended,
                            const std::string& message) {
-    if (!write_u64(fd, status)) return false;
-    if (status == kStatusOk) return write_u64(fd, appended);
-    return write_u64(fd, message.size()) && write_all(fd, message.data(), message.size());
+    std::vector<unsigned char> scratch;
+    append_u64(scratch, status);
+    if (status == kStatusOk) {
+        append_u64(scratch, appended);
+    } else {
+        append_u64(scratch, message.size());
+        append_bytes(scratch, message.data(), message.size());
+    }
+    return write_all(fd, scratch.data(), scratch.size());
 }
 
 bool read_store_put_reply(int fd, std::uint64_t& status, std::uint64_t& appended,

@@ -149,19 +149,59 @@ std::vector<Monomial> quadratic_basis(std::size_t k) {
     return terms;
 }
 
+CompiledTerms::CompiledTerms(const std::vector<Monomial>& terms) {
+    if (terms.empty()) return;
+    k_ = terms.front().variables();
+    offsets_.reserve(terms.size() + 1);
+    offsets_.push_back(0);
+    for (const Monomial& m : terms) {
+        if (m.variables() != k_)
+            throw std::invalid_argument("CompiledTerms: term dimension mismatch");
+        for (std::size_t i = 0; i < k_; ++i) {
+            if (m.exponents[i])
+                factors_.push_back({static_cast<std::uint32_t>(i), m.exponents[i]});
+        }
+        offsets_.push_back(static_cast<std::uint32_t>(factors_.size()));
+    }
+}
+
+double CompiledTerms::term(std::size_t t, const double* x) const {
+    double v = 1.0;
+    const Factor* f = factors_.data() + offsets_[t];
+    const Factor* end = factors_.data() + offsets_[t + 1];
+    for (; f != end; ++f) v *= int_pow(x[f->variable], f->exponent);
+    return v;
+}
+
+void CompiledTerms::row(const double* x, double* row) const {
+    for (std::size_t t = 0; t < size(); ++t) row[t] = term(t, x);
+}
+
+double CompiledTerms::predict(const double* x, const double* beta) const {
+    double s = 0.0;
+    for (std::size_t t = 0; t < size(); ++t) s += term(t, x) * beta[t];
+    return s;
+}
+
+Matrix CompiledTerms::matrix(const Matrix& points) const {
+    if (size() && points.cols() != k_)
+        throw std::invalid_argument("CompiledTerms::matrix: dimension mismatch");
+    Matrix m(points.rows(), size());
+    for (std::size_t i = 0; i < points.rows(); ++i) row(points.row_ptr(i), m.row_ptr(i));
+    return m;
+}
+
 Vector model_row(const std::vector<Monomial>& terms, const Vector& x) {
-    Vector row(terms.size());
-    for (std::size_t j = 0; j < terms.size(); ++j) row[j] = terms[j].evaluate(x);
+    const CompiledTerms table(terms);
+    if (table.size() && x.size() != table.variables())
+        throw std::invalid_argument("model_row: dimension mismatch");
+    Vector row(table.size());
+    table.row(x.data(), row.data());
     return row;
 }
 
 Matrix model_matrix(const std::vector<Monomial>& terms, const Matrix& points) {
-    Matrix m(points.rows(), terms.size());
-    for (std::size_t i = 0; i < points.rows(); ++i) {
-        const Vector x = points.row(i);
-        for (std::size_t j = 0; j < terms.size(); ++j) m(i, j) = terms[j].evaluate(x);
-    }
-    return m;
+    return CompiledTerms(terms).matrix(points);
 }
 
 }  // namespace ehdoe::num

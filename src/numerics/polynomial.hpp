@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -51,6 +52,41 @@ std::vector<Monomial> interaction_basis(std::size_t k);
 
 /// Full quadratic basis (the standard second-order RSM model).
 std::vector<Monomial> quadratic_basis(std::size_t k);
+
+/// A term set compiled once into a flat table for evaluation: each term
+/// keeps only its nonzero (variable, exponent) pairs. This is the one
+/// evaluator behind model rows, model matrices and predictions; it
+/// allocates nothing. Each term is the left-to-right product of
+/// x[i]^e over increasing i, starting at 1.0, exactly as
+/// Monomial::evaluate computes it, and `predict` accumulates
+/// `s += term * beta[t]` in term order from 0.0 — so a prediction is
+/// bit-for-bit `dot(model_row(terms, x), beta)`.
+class CompiledTerms {
+public:
+    CompiledTerms() = default;
+    explicit CompiledTerms(const std::vector<Monomial>& terms);
+
+    std::size_t variables() const { return k_; }
+    std::size_t size() const { return offsets_.empty() ? 0 : offsets_.size() - 1; }
+
+    /// row[t] = term t at x; `x` holds variables() and `row` size() doubles.
+    void row(const double* x, double* row) const;
+    /// Sum of beta[t] * (term t at x) in term order; `beta` holds size().
+    double predict(const double* x, const double* beta) const;
+    /// One row per point; throws when the points have the wrong dimension.
+    Matrix matrix(const Matrix& points) const;
+
+private:
+    struct Factor {
+        std::uint32_t variable;
+        unsigned exponent;
+    };
+    double term(std::size_t t, const double* x) const;
+
+    std::size_t k_ = 0;
+    std::vector<std::uint32_t> offsets_;  ///< term t owns factors_[offsets_[t], offsets_[t+1])
+    std::vector<Factor> factors_;
+};
 
 /// Evaluate a term set into one row of the regression matrix.
 Vector model_row(const std::vector<Monomial>& terms, const Vector& x);

@@ -30,6 +30,19 @@ OptResult nelder_mead(const Objective& f, const Bounds& bounds, const Vector& x0
 
     OptResult res;
     std::vector<std::size_t> order(k + 1);
+    // The centroid and the trial points live in buffers allocated once; an
+    // accepted trial point swaps buffers with the vertex it replaces.
+    Vector cen(k), xr(k), xe(k), xc(k);
+
+    // out = clamp(base + coef * (a - b)), elementwise.
+    auto step_into = [&](Vector& out, const Vector& base, double coef, const Vector& a,
+                         const Vector& b) {
+        for (std::size_t j = 0; j < k; ++j) {
+            double v = base[j];
+            v += coef * (a[j] - b[j]);
+            out[j] = std::clamp(v, bounds.lo[j], bounds.hi[j]);
+        }
+    };
 
     for (res.iterations = 0; res.iterations < opt.max_iterations; ++res.iterations) {
         std::iota(order.begin(), order.end(), std::size_t{0});
@@ -45,55 +58,45 @@ OptResult nelder_mead(const Objective& f, const Bounds& bounds, const Vector& x0
         }
 
         // Centroid of all but the worst.
-        Vector cen(k);
+        cen.fill(0.0);
         for (std::size_t i = 0; i <= k; ++i) {
             if (i == worst) continue;
             cen += xs[i];
         }
         cen /= static_cast<double>(k);
 
-        auto towards = [&](double coef) {
-            Vector x = cen;
-            x.axpy(coef, cen - xs[worst]);
-            return bounds.clamp(std::move(x));
-        };
-
-        const Vector xr = towards(opt.reflection);
+        step_into(xr, cen, opt.reflection, cen, xs[worst]);
         const double fr = obj(xr);
         if (fr < fv[best]) {
-            const Vector xe = towards(opt.expansion);
+            step_into(xe, cen, opt.expansion, cen, xs[worst]);
             const double fe = obj(xe);
             if (fe < fr) {
-                xs[worst] = xe;
+                std::swap(xs[worst], xe);
                 fv[worst] = fe;
             } else {
-                xs[worst] = xr;
+                std::swap(xs[worst], xr);
                 fv[worst] = fr;
             }
         } else if (fr < fv[second_worst]) {
-            xs[worst] = xr;
+            std::swap(xs[worst], xr);
             fv[worst] = fr;
         } else {
             // Contract (outside if the reflection helped at all).
             const bool outside = fr < fv[worst];
-            Vector xc = cen;
             if (outside) {
-                xc.axpy(opt.contraction, xr - cen);
+                step_into(xc, cen, opt.contraction, xr, cen);
             } else {
-                xc.axpy(-opt.contraction, cen - xs[worst]);
+                step_into(xc, cen, -opt.contraction, cen, xs[worst]);
             }
-            xc = bounds.clamp(std::move(xc));
             const double fc = obj(xc);
             if (fc < std::min(fr, fv[worst])) {
-                xs[worst] = xc;
+                std::swap(xs[worst], xc);
                 fv[worst] = fc;
             } else {
                 // Shrink toward the best vertex.
                 for (std::size_t i = 0; i <= k; ++i) {
                     if (i == best) continue;
-                    Vector xn = xs[best];
-                    xn.axpy(opt.shrink, xs[i] - xs[best]);
-                    xs[i] = bounds.clamp(std::move(xn));
+                    step_into(xs[i], xs[best], opt.shrink, xs[i], xs[best]);
                     fv[i] = obj(xs[i]);
                 }
             }

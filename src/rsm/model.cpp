@@ -18,7 +18,7 @@ std::vector<Monomial> terms_for(std::size_t k, ModelOrder order) {
 }  // namespace
 
 ModelSpec::ModelSpec(std::size_t k, ModelOrder order)
-    : k_(k), order_(order), terms_(terms_for(k, order)) {
+    : k_(k), order_(order), terms_(terms_for(k, order)), compiled_(terms_) {
     if (k == 0) throw std::invalid_argument("ModelSpec: k >= 1");
 }
 
@@ -30,18 +30,21 @@ ModelSpec::ModelSpec(std::size_t k, std::vector<Monomial> terms)
         if (m.variables() != k_)
             throw std::invalid_argument("ModelSpec: term dimension mismatch");
     }
+    compiled_ = num::CompiledTerms(terms_);
 }
 
 Matrix ModelSpec::build_matrix(const Matrix& coded_points) const {
     if (coded_points.cols() != k_)
         throw std::invalid_argument("ModelSpec::build_matrix: dimension mismatch");
-    return num::model_matrix(terms_, coded_points);
+    return compiled_.matrix(coded_points);
 }
 
 Vector ModelSpec::build_row(const Vector& coded_point) const {
     if (coded_point.size() != k_)
         throw std::invalid_argument("ModelSpec::build_row: dimension mismatch");
-    return num::model_row(terms_, coded_point);
+    Vector row(terms_.size());
+    compiled_.row(coded_point.data(), row.data());
+    return row;
 }
 
 ModelSpec ModelSpec::without_term(std::size_t index) const {

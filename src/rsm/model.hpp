@@ -35,6 +35,10 @@ public:
     const std::vector<Monomial>& terms() const { return terms_; }
     ModelOrder declared_order() const { return order_; }
 
+    /// The term set compiled for evaluation; every row and prediction of
+    /// this model goes through it.
+    const num::CompiledTerms& compiled() const { return compiled_; }
+
     /// Regression (model) matrix for coded design points.
     Matrix build_matrix(const Matrix& coded_points) const;
     /// One regression row.
@@ -55,6 +59,7 @@ private:
     std::size_t k_;
     ModelOrder order_;
     std::vector<Monomial> terms_;
+    num::CompiledTerms compiled_;
 };
 
 /// Number of terms of the standard models (handy for run budgeting).

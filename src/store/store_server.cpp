@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -135,6 +136,9 @@ void StoreServer::accept_loop() {
             ::close(fd);
             return;
         }
+        // Replies are small and latency-bound: never hold one back for Nagle.
+        const int one = 1;
+        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
         connections_accepted_.fetch_add(1);
         register_parent_fd(fd);
         auto done = std::make_shared<std::atomic<bool>>(false);

@@ -5,6 +5,8 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -306,3 +308,55 @@ TEST_P(LocalOptP, RotatedQuadraticFromCorners) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Methods, LocalOptP, ::testing::Values(0, 1, 2));
+
+// ---- pinned outputs --------------------------------------------------------
+// Nelder-Mead's results on three fixed problems, captured as hex floats
+// before its simplex and trial points moved into reused buffers. Any change
+// to the arithmetic or its order shows here.
+
+namespace {
+
+std::uint64_t bits(double v) {
+    std::uint64_t b;
+    std::memcpy(&b, &v, sizeof b);
+    return b;
+}
+
+void expect_pinned(const OptResult& r, const std::vector<double>& x, double value,
+                   std::size_t evaluations, std::size_t iterations) {
+    ASSERT_EQ(r.x.size(), x.size());
+    for (std::size_t i = 0; i < x.size(); ++i) EXPECT_EQ(bits(r.x[i]), bits(x[i])) << i;
+    EXPECT_EQ(bits(r.value), bits(value));
+    EXPECT_EQ(r.evaluations, evaluations);
+    EXPECT_EQ(r.iterations, iterations);
+    EXPECT_TRUE(r.converged);
+}
+
+}  // namespace
+
+TEST(NelderMeadPinned, Bowl) {
+    expect_pinned(nelder_mead(bowl, kCube2, Vector{0.9, 0.9}),
+                  {0x1.3333de123ee3ap-2, -0x1.999c7f6420ccp-2}, 0x1.0000000113ce9p+0, 72, 36);
+}
+
+TEST(NelderMeadPinned, MinimumOnTheBoundary) {
+    const Objective f = [](const Vector& x) {
+        return (x[0] - 2.0) * (x[0] - 2.0) + x[1] * x[1];
+    };
+    expect_pinned(nelder_mead(f, kCube2, Vector{0.0, 0.0}), {0x1p+0, 0x0p+0}, 0x1p+0, 45, 22);
+}
+
+TEST(NelderMeadPinned, CoupledSixFactors) {
+    const Objective f = [](const Vector& x) {
+        double v = 0.0;
+        for (std::size_t i = 0; i < 6; ++i) {
+            const double d = x[i] - 0.1 * static_cast<double>(i) + 0.2;
+            v += static_cast<double>(i + 1) * d * d;
+        }
+        return v + 0.5 * x[0] * x[1] - 0.3 * x[2] * x[5] + 0.1 * x[3] * x[3] * x[3] * x[3];
+    };
+    expect_pinned(nelder_mead(f, Bounds::coded_cube(6), Vector{0.9, -0.9, 0.9, -0.9, 0.9, -0.9}),
+                  {-0x1.71ffd063a9dbp-3, -0x1.3d0b65f090ec2p-4, 0x1.ec28359e8f866p-7,
+                   0x1.99611e70b455ap-4, 0x1.9994c654c314dp-3, 0x1.3395488e20492p-2},
+                  0x1.fa04f6f4e1e1cp-8, 409, 250);
+}

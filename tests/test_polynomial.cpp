@@ -2,8 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "numerics/polynomial.hpp"
+#include "numerics/stats.hpp"
 
 using namespace ehdoe::num;
 
@@ -123,3 +126,104 @@ TEST_P(MonomialFdP, DerivativeMatchesFiniteDifference) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Vars, MonomialFdP, ::testing::Values(0, 1, 2));
+
+// ---- the compiled evaluator against the Monomial reference, bit for bit ----
+
+namespace {
+
+std::uint64_t bits(double v) {
+    std::uint64_t b;
+    std::memcpy(&b, &v, sizeof b);
+    return b;
+}
+
+// Points inside the coded cube, on its faces and well outside it.
+std::vector<Vector> probe_points(std::size_t k, std::size_t n, std::uint64_t seed) {
+    Rng rng = make_rng(seed);
+    std::vector<Vector> pts;
+    for (std::size_t p = 0; p < n; ++p) {
+        Vector x(k);
+        const double reach = p % 3 == 0 ? 1.0 : (p % 3 == 1 ? 3.5 : 250.0);
+        for (std::size_t i = 0; i < k; ++i) x[i] = uniform(rng, -reach, reach);
+        pts.push_back(x);
+    }
+    pts.push_back(Vector(k, 1.0));
+    pts.push_back(Vector(k, -1.0));
+    pts.push_back(Vector(k, 0.0));
+    return pts;
+}
+
+// Term sets of every standard order plus a pruned one with higher powers.
+std::vector<std::vector<Monomial>> term_sets(std::size_t k) {
+    std::vector<std::vector<Monomial>> sets{linear_basis(k), interaction_basis(k),
+                                            quadratic_basis(k),
+                                            monomials_up_to_degree(k, 3)};
+    std::vector<Monomial> pruned = quadratic_basis(k);
+    for (std::size_t t = pruned.size() - 1; t > 0; t -= 3) {
+        pruned.erase(pruned.begin() + static_cast<std::ptrdiff_t>(t));
+        if (t < 3) break;
+    }
+    std::vector<unsigned> high(k, 0);
+    high[0] = 4;
+    high[k - 1] += 3;
+    pruned.emplace_back(high);
+    sets.push_back(pruned);
+    return sets;
+}
+
+}  // namespace
+
+TEST(CompiledTerms, RowIsBitwiseTheMonomialReference) {
+    for (std::size_t k : {1u, 3u, 6u}) {
+        for (const auto& terms : term_sets(k)) {
+            const CompiledTerms table(terms);
+            ASSERT_EQ(table.size(), terms.size());
+            ASSERT_EQ(table.variables(), k);
+            std::vector<double> row(terms.size());
+            for (const Vector& x : probe_points(k, 300, 17 + k)) {
+                table.row(x.data(), row.data());
+                for (std::size_t t = 0; t < terms.size(); ++t)
+                    ASSERT_EQ(bits(row[t]), bits(terms[t].evaluate(x)))
+                        << "k=" << k << " term " << terms[t].to_string();
+            }
+        }
+    }
+}
+
+TEST(CompiledTerms, PredictIsBitwiseTheMonomialReference) {
+    for (std::size_t k : {1u, 3u, 6u}) {
+        for (const auto& terms : term_sets(k)) {
+            const CompiledTerms table(terms);
+            Rng rng = make_rng(99 + k);
+            std::vector<double> beta(terms.size());
+            for (double& b : beta) b = uniform(rng, -40.0, 40.0);
+            for (const Vector& x : probe_points(k, 300, 5 + k)) {
+                double want = 0.0;
+                for (std::size_t t = 0; t < terms.size(); ++t)
+                    want += beta[t] * terms[t].evaluate(x);
+                ASSERT_EQ(bits(table.predict(x.data(), beta.data())), bits(want));
+            }
+        }
+    }
+}
+
+TEST(CompiledTerms, ModelMatrixRowsAreModelRows) {
+    for (const auto& terms : term_sets(4)) {
+        const std::vector<Vector> pts = probe_points(4, 60, 3);
+        Matrix points(pts.size(), 4);
+        for (std::size_t i = 0; i < pts.size(); ++i) points.set_row(i, pts[i]);
+        const Matrix m = model_matrix(terms, points);
+        ASSERT_EQ(m.cols(), terms.size());
+        for (std::size_t i = 0; i < pts.size(); ++i) {
+            const Vector row = model_row(terms, pts[i]);
+            for (std::size_t t = 0; t < terms.size(); ++t)
+                ASSERT_EQ(bits(m(i, t)), bits(row[t]));
+        }
+    }
+}
+
+TEST(CompiledTerms, DimensionMismatchThrows) {
+    EXPECT_THROW(model_row(quadratic_basis(2), Vector{1.0}), std::invalid_argument);
+    EXPECT_THROW(model_matrix(quadratic_basis(2), Matrix(3, 3)), std::invalid_argument);
+    EXPECT_THROW(CompiledTerms({Monomial(2), Monomial(3)}), std::invalid_argument);
+}

@@ -13,6 +13,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -156,6 +157,26 @@ TEST(StoreService, ClientRoundTripAndStats) {
     server->stop();
 }
 
+TEST(StoreService, SequentialSmallPutsDoNotStall) {
+    // A put reply is two words; if the server let Nagle hold the second one
+    // back until the client's delayed ACK, every put would stall ~40 ms and
+    // these 20 round trips would take ~880 ms.
+    TempDir dir("ehdoe-storesvc-putstall");
+    auto server = start_store(dir);
+    store::StoreClient client("127.0.0.1", server->port());
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int i = 0; i < 20; ++i) {
+        net::StoreEntry e;
+        e.key = "stall-" + std::to_string(i);
+        e.responses = {{"E_harv", 0.5 * i}};
+        ASSERT_EQ(client.put({e}), 1u);
+    }
+    const double ms =
+        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
+    EXPECT_LT(ms, 400.0) << "20 single-entry puts";
+    server->stop();
+}
+
 // ---------------------------------------------------------------------------
 // The headline acceptance property: two *independent* farm runs — separate
 // processes, separate runners, nothing shared but the store endpoint — and
@@ -218,13 +239,20 @@ TEST(StoreService, RacingPutWritersConvergeToTheUnion) {
 
     // Each child is an independent "farm client" hammering put-batches:
     // private keys plus a shared set both race to publish with identical
-    // bits (the replayed-batch case).
+    // bits (the replayed-batch case). The children wait on a start gate
+    // until all are forked: forking while the server's connection threads
+    // are busy can hand a child a lock that a parent thread held (under
+    // ASan the child then hangs in the allocator).
+    int gate[2];
+    ASSERT_EQ(::pipe(gate), 0);
     std::vector<pid_t> children;
     for (int c = 0; c < kWriters; ++c) {
         const pid_t pid = fork();
         ASSERT_GE(pid, 0);
         if (pid == 0) {
-            bool ok = true;
+            ::close(gate[1]);
+            char go = 0;
+            bool ok = ::read(gate[0], &go, 1) == 0;  // EOF: every writer forked
             try {
                 store::StoreClient client("127.0.0.1", server->port());
                 for (int i = 0; i < kKeysEach; ++i) {
@@ -243,6 +271,8 @@ TEST(StoreService, RacingPutWritersConvergeToTheUnion) {
         }
         children.push_back(pid);
     }
+    ::close(gate[0]);
+    ::close(gate[1]);
     for (const pid_t pid : children) {
         int status = 0;
         ASSERT_EQ(::waitpid(pid, &status, 0), pid);

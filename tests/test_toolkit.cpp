@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "core/toolkit.hpp"
 
@@ -117,4 +119,40 @@ TEST(DesignFlow, CustomDesignRun) {
 
 TEST(DesignFlow, RequiresSimulation) {
     EXPECT_THROW(DesignFlow(make_space(), nullptr), std::invalid_argument);
+}
+
+// Optimum locations, predictions and RSM evaluation counts of the synthetic
+// flow, captured as hex floats before the on-surface search shared one model
+// row between surfaces. Any change to the arithmetic or its order shows here.
+namespace {
+
+std::uint64_t bits(double v) {
+    std::uint64_t b;
+    std::memcpy(&b, &v, sizeof b);
+    return b;
+}
+
+}  // namespace
+
+TEST(DesignFlowPinned, UnconstrainedOptimum) {
+    DesignFlow flow(make_space(), make_sim());
+    flow.run_ccd();
+    const auto out = flow.optimize("perf", true, {}, false);
+    ASSERT_EQ(out.coded.size(), 2u);
+    EXPECT_EQ(bits(out.coded[0]), bits(0x1.999fe45ebaadfp-3));
+    EXPECT_EQ(bits(out.coded[1]), bits(-0x1.64a63a38ccp-17));
+    EXPECT_EQ(bits(out.predicted), bits(0x1.3fffffff462c3p+3));
+    EXPECT_EQ(out.rsm_evaluations, 388u);
+}
+
+TEST(DesignFlowPinned, ConstrainedOptimum) {
+    DesignFlow flow(make_space(), make_sim());
+    flow.run_ccd();
+    const auto out = flow.optimize("perf", true, {{"cost", -1e300, 8.0}}, false);
+    ASSERT_EQ(out.coded.size(), 2u);
+    EXPECT_EQ(bits(out.coded[0]), bits(0x1.5a6d91f9d0fb5p-12));
+    EXPECT_EQ(bits(out.coded[1]), bits(-0x1.ff37145b6e666p-3));
+    EXPECT_EQ(bits(out.predicted), bits(0x1.300d08d75cb0dp+3));
+    EXPECT_EQ(bits(out.predicted_responses.at("cost")), bits(0x1.001a1701fcdbdp+3));
+    EXPECT_EQ(out.rsm_evaluations, 484u);
 }
