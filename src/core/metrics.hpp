@@ -5,8 +5,8 @@
 // ring buffer of periodic snapshots. A server owns one Registry, registers
 // probes over its existing counters (lifetime atomics, occupancy, latency
 // percentiles computed from histogram *deltas* between samples), and runs a
-// Sampler thread that appends one row per interval. The ring travels the
-// stats wire from protocol v7 on (net/wire.hpp), so monitors can render
+// Sampler thread that appends one row per interval. The ring travels in the
+// stats replies (net/wire.hpp), so monitors can render
 // recent per-shard history — throughput and latency trends, stragglers —
 // instead of lifetime counters only.
 //

@@ -12,6 +12,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <stdexcept>
 #include <system_error>
 
@@ -23,18 +24,50 @@ namespace {
 
 constexpr char kMagic[7] = {'E', 'H', 'D', 'O', 'E', 'C', '\0'};
 constexpr std::uint8_t kFormatVersion = 1;
-// Guards against nonsense lengths from corrupt files before any allocation.
-constexpr std::uint64_t kSaneLimit = 1u << 24;
-
-bool read_u64(std::istream& in, std::uint64_t& v) {
-    return static_cast<bool>(in.read(reinterpret_cast<char*>(&v), sizeof v));
-}
-
-void write_u64(std::ostream& out, std::uint64_t v) {
-    out.write(reinterpret_cast<const char*>(&v), sizeof v);
-}
 
 }  // namespace
+
+void encode_snapshot(std::vector<unsigned char>& out, const std::string& fingerprint,
+                     const SnapshotTable& table) {
+    codec::Writer w(out);
+    w.bytes(kMagic, sizeof kMagic);
+    w.bytes(&kFormatVersion, 1);
+    w.str(fingerprint);
+    w.u64(table.size());
+    for (const auto& [key, responses] : table) {
+        w.u64(key.size());
+        w.bytes(key.data(), sizeof(double) * key.size());
+        w.responses(responses);
+    }
+}
+
+bool decode_snapshot(codec::ByteView file, const std::string& fingerprint, SnapshotTable& table) {
+    codec::Reader r(file);
+    char magic[sizeof kMagic];
+    std::uint8_t version = 0;
+    std::string fp;
+    std::uint64_t n_entries = 0;
+    if (!r.bytes(magic, sizeof magic) || std::memcmp(magic, kMagic, sizeof kMagic) != 0 ||
+        !r.bytes(&version, 1) || version != kFormatVersion || !r.str(fp) || fp != fingerprint ||
+        !r.count(n_entries, 2 * sizeof(std::uint64_t)))
+        return false;  // a different simulation's file invalidates too
+
+    // Parse into a local table: a truncated or corrupt tail must not leave
+    // a half-restored cache behind.
+    SnapshotTable parsed;
+    for (std::uint64_t e = 0; e < n_entries; ++e) {
+        std::uint64_t dim = 0;
+        if (!r.count(dim, sizeof(double))) return false;
+        std::vector<double> key(static_cast<std::size_t>(dim));
+        ResponseMap responses;
+        if (!r.bytes(key.data(), sizeof(double) * key.size()) || !r.responses(responses))
+            return false;
+        parsed.emplace(std::move(key), std::move(responses));
+    }
+    if (!r.done()) return false;
+    table = std::move(parsed);
+    return true;
+}
 
 PersistentCache::PersistentCache(std::shared_ptr<EvalBackend> inner, std::string path,
                                  std::string fingerprint, bool autosave)
@@ -53,62 +86,17 @@ PersistentCache::~PersistentCache() {
 
 namespace {
 
-/// Parse a snapshot file into `staged`. False (and an untouched `staged`)
-/// for a missing, truncated, corrupt, wrong-version or wrong-fingerprint
-/// file — the caller treats every failure as a cold cache.
+/// Read and decode the snapshot at `path`; false for a missing file and
+/// for every failure decode_snapshot() names — the caller treats each as a
+/// cold cache.
 bool load_snapshot(const std::string& path, const std::string& fingerprint,
-                   std::map<std::vector<double>, ResponseMap>& staged) {
+                   SnapshotTable& staged) {
     std::ifstream in(path, std::ios::binary);
     if (!in) return false;  // no snapshot yet: cold cache
-
-    char magic[sizeof kMagic];
-    std::uint8_t version = 0;
-    if (!in.read(magic, sizeof magic) || std::memcmp(magic, kMagic, sizeof kMagic) != 0)
-        return false;
-    if (!in.read(reinterpret_cast<char*>(&version), 1) || version != kFormatVersion) return false;
-
-    std::uint64_t fp_len = 0;
-    if (!read_u64(in, fp_len) || fp_len > kSaneLimit) return false;
-    std::string fp(static_cast<std::size_t>(fp_len), '\0');
-    if (!in.read(fp.data(), static_cast<std::streamsize>(fp.size()))) return false;
-    if (fp != fingerprint) return false;  // different simulation: invalidate
-
-    std::uint64_t n_entries = 0;
-    if (!read_u64(in, n_entries) || n_entries > kSaneLimit) return false;
-
-    // Parse into a local table: a truncated or corrupt tail must not leave
-    // a half-restored cache behind.
-    std::map<std::vector<double>, ResponseMap> parsed;
-    for (std::uint64_t e = 0; e < n_entries; ++e) {
-        std::uint64_t dim = 0;
-        if (!read_u64(in, dim) || dim > kSaneLimit) return false;
-        std::vector<double> key(static_cast<std::size_t>(dim));
-        if (!in.read(reinterpret_cast<char*>(key.data()),
-                     static_cast<std::streamsize>(sizeof(double) * key.size())))
-            return false;
-
-        std::uint64_t n_resp = 0;
-        if (!read_u64(in, n_resp) || n_resp > kSaneLimit) return false;
-        ResponseMap responses;
-        for (std::uint64_t r = 0; r < n_resp; ++r) {
-            std::uint64_t len = 0;
-            if (!read_u64(in, len) || len > kSaneLimit) return false;
-            std::string name(static_cast<std::size_t>(len), '\0');
-            double value = 0.0;
-            if (!in.read(name.data(), static_cast<std::streamsize>(name.size()))) return false;
-            if (!in.read(reinterpret_cast<char*>(&value), sizeof value)) return false;
-            responses.emplace(std::move(name), value);
-        }
-        parsed.emplace(std::move(key), std::move(responses));
-    }
-
-    staged = std::move(parsed);
-    return true;
+    const std::vector<unsigned char> file((std::istreambuf_iterator<char>(in)),
+                                          std::istreambuf_iterator<char>());
+    return !in.bad() && decode_snapshot(file, fingerprint, staged);
 }
-
-}  // namespace
-
-namespace {
 
 /// Remove '<path>.<pid>.tmp' orphans whose writer is gone — a process
 /// killed between open and rename leaves its pid-unique temporary behind,
@@ -173,7 +161,7 @@ class SaveLock {
 
 void PersistentCache::load() {
     reap_stale_temporaries(path_);
-    std::map<std::vector<double>, ResponseMap> staged;
+    SnapshotTable staged;
     if (!load_snapshot(path_, fingerprint_, staged)) return;
     table_ = std::move(staged);
     restored_ = true;
@@ -190,7 +178,7 @@ bool PersistentCache::save() const {
     // the atomic tmp+rename below guarantees readers (which never take the
     // lock) only ever see a complete file.
     const SaveLock lock(path_);
-    std::map<std::vector<double>, ResponseMap> merged;
+    SnapshotTable merged;
     if (load_snapshot(path_, fingerprint_, merged)) {
         for (const auto& [key, responses] : table_) merged[key] = responses;
     } else {
@@ -203,22 +191,10 @@ bool PersistentCache::save() const {
     {
         std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
         if (!out) return false;  // never opened: nothing to clean up
-        out.write(kMagic, sizeof kMagic);
-        out.write(reinterpret_cast<const char*>(&kFormatVersion), 1);
-        write_u64(out, fingerprint_.size());
-        out.write(fingerprint_.data(), static_cast<std::streamsize>(fingerprint_.size()));
-        write_u64(out, merged.size());
-        for (const auto& [key, responses] : merged) {
-            write_u64(out, key.size());
-            out.write(reinterpret_cast<const char*>(key.data()),
-                      static_cast<std::streamsize>(sizeof(double) * key.size()));
-            write_u64(out, responses.size());
-            for (const auto& [name, value] : responses) {
-                write_u64(out, name.size());
-                out.write(name.data(), static_cast<std::streamsize>(name.size()));
-                out.write(reinterpret_cast<const char*>(&value), sizeof value);
-            }
-        }
+        std::vector<unsigned char> file;
+        encode_snapshot(file, fingerprint_, merged);
+        out.write(reinterpret_cast<const char*>(file.data()),
+                  static_cast<std::streamsize>(file.size()));
         if (!out) {
             // A failed write (disk full, ...) must not leave the pid-unique
             // temporary behind to accumulate across runs.

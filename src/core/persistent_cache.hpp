@@ -16,6 +16,9 @@
 //   entry := u64 dim, dim x f64     — the exact natural-unit point
 //            u64 n_resp, n_resp x { u64 name_len, bytes, f64 value }
 //
+// The file is encoded and decoded in memory through core/codec.hpp, the
+// codec the wire frames and the store's segment records use.
+//
 // Robustness: a missing, truncated, corrupt, wrong-version or
 // wrong-fingerprint file is treated as a cold cache (never an error), and
 // save() writes to a per-process temporary file first and renames it into
@@ -33,9 +36,21 @@
 
 #include <memory>
 
+#include "core/codec.hpp"
 #include "core/eval_backend.hpp"
 
 namespace ehdoe::core {
+
+/// A snapshot's table: exact natural-unit point → responses.
+using SnapshotTable = std::map<std::vector<double>, ResponseMap>;
+
+/// Append the whole snapshot file to `out`.
+void encode_snapshot(std::vector<unsigned char>& out, const std::string& fingerprint,
+                     const SnapshotTable& table);
+/// Decode a whole snapshot file into `table`. False (and `table`
+/// untouched) for anything truncated, corrupt, of another format version
+/// or of another fingerprint.
+bool decode_snapshot(codec::ByteView file, const std::string& fingerprint, SnapshotTable& table);
 
 class PersistentCache : public EvalBackend {
 public:
@@ -77,7 +92,7 @@ private:
     std::string fingerprint_;
     bool autosave_ = true;
     bool restored_ = false;
-    std::map<std::vector<double>, ResponseMap> table_;
+    SnapshotTable table_;
     std::size_t hits_ = 0;
 };
 

@@ -114,14 +114,14 @@ std::vector<ResponseMap> SubprocessBackend::evaluate(const std::vector<Vector>& 
     std::vector<std::exception_ptr> callback_errors(n);
 
     auto drive_worker = [&](Worker& w) {
+        std::vector<unsigned char> scratch;
         while (!failed.load(std::memory_order_relaxed)) {
             const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
             if (i >= n) return;
             dispatched.fetch_add(1, std::memory_order_relaxed);
 
             net::EvalResult result;
-            const bool io_ok =
-                net::write_request(w.fd, points[i]) && net::read_result(w.fd, result);
+            const bool io_ok = net::pipe_evaluate(w.fd, points[i], result, scratch);
 
             if (io_ok && result.ok) {
                 out[i] = std::move(result.responses);

@@ -13,7 +13,7 @@
 //
 //  * Latency histograms — log-bucketed microsecond counters that merge by
 //    bucket addition, so per-server eval-latency distributions travel the
-//    stats frame (protocol v5) and aggregate farm-wide without ever
+//    stats frame (net/wire.hpp) and aggregate farm-wide without ever
 //    shipping raw samples. Percentiles are exact-rank over the recorded
 //    counts (resolution = the bucket width at that magnitude, ~6%).
 //
@@ -50,7 +50,7 @@ void reset();
 
 /// Monotonic microseconds since this process's telemetry epoch (first use).
 /// The trace-merge tool aligns client and server epochs via the clock
-/// sample the v5 handshake carries.
+/// sample the handshake's welcome carries.
 std::uint64_t now_us();
 
 /// Label this process in exported traces (Chrome "process_name" metadata).

@@ -249,8 +249,8 @@ TraceMergeResult merge_traces(const std::string& client_json,
         if (!anchored) {
             result.warnings.push_back(
                 label + (endpoint.empty() ? "" : " (" + endpoint + ")") +
-                ": no clock anchor in the client trace (pre-v5 handshake, or the "
-                "endpoint never dialled) — merged unshifted");
+                ": no clock anchor in the client trace (no traced handshake with the "
+                "endpoint) — merged unshifted");
         }
 
         const double pid = static_cast<double>(2 + k);

@@ -6,7 +6,7 @@
 // this). The pieces come from independent processes with independent
 // monotonic clocks, so the merge has to re-anchor time:
 //
-//  * every v5 welcome carries the server's telemetry clock sample, and the
+//  * every welcome carries the server's telemetry clock sample, and the
 //    client's handshake span records `offset_us = client_now - server_now`
 //    per endpoint (net/remote_backend.cpp);
 //  * each server trace carries a "listening" instant naming its endpoint
@@ -14,7 +14,7 @@
 //    handshake endpoints — exact label first, then a ":port" suffix so
 //    "127.0.0.1:9001" still matches a server that printed "0.0.0.0:9001";
 //  * the matched server's events are shifted onto the client clock. An
-//    unmatched server (or a pre-v5 handshake with no clock sample) merges
+//    unmatched server (no traced handshake with its endpoint) merges
 //    unshifted with a warning — visible, never dropped.
 //
 // Processes are renumbered (client pid 1, servers 2..) so every input gets

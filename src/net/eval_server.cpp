@@ -86,8 +86,8 @@ struct EvalServer::PipeWorkerPool {
         }
 
         EvalResult result;
-        const bool io_ok = write_request(w.fd, point) && read_result(w.fd, result);
-        if (io_ok) {
+        std::vector<unsigned char> scratch;
+        if (pipe_evaluate(w.fd, point, result, scratch)) {
             std::lock_guard<std::mutex> lock(mutex_);
             free_.push_back(w);
             cv_.notify_one();
@@ -167,21 +167,18 @@ struct EvalServer::PendingFrame {
 };
 
 struct EvalServer::ConnState {
-    /// Magic -> {HelloBody | StatsBody} -> {Eval | Drain}: the incremental
-    /// parser's position in the connection's life. Drain = a terminal reply
-    /// (stats answer, handshake refusal) is queued; only flushing remains.
-    enum class Phase { Magic, HelloBody, StatsBody, Eval, Drain };
+    /// Opening -> {Eval | Drain}: the first frame picks the connection's
+    /// kind. Drain = a terminal reply (stats answer, refusal) is queued;
+    /// only flushing remains.
+    enum class Phase { Opening, Eval, Drain };
 
     int fd = -1;
     std::uint64_t id = 0;
-    Phase phase = Phase::Magic;
-    /// Negotiated framing for Phase::Eval (the hello's version).
-    std::uint32_t version = kProtocolVersion;
+    Phase phase = Phase::Opening;
     std::chrono::steady_clock::time_point opened_at{};
-    /// Gathered input not yet consumed by the parser. `in_pos` marks the
-    /// parsed prefix; the buffer is compacted after each parse pass.
+    /// Gathered input not yet consumed by the parser: at most one partial
+    /// frame once a parse pass has compacted it.
     std::vector<unsigned char> in;
-    std::size_t in_pos = 0;
     /// Encoded response bytes awaiting a writable socket.
     std::vector<unsigned char> out;
     std::size_t out_pos = 0;
@@ -206,13 +203,6 @@ EvalServer::EvalServer(core::Simulation sim, EvalServerOptions options)
 }
 
 EvalServer::~EvalServer() { stop(); }
-
-std::uint32_t EvalServer::max_version() const {
-    std::uint32_t v = options_.max_protocol_version;
-    if (v > kProtocolVersion) v = kProtocolVersion;
-    if (v < kMinProtocolVersion) v = kMinProtocolVersion;
-    return v;
-}
 
 void EvalServer::start() {
     if (running_.load()) throw std::logic_error("EvalServer: already started");
@@ -347,7 +337,6 @@ core::telemetry::LatencyHistogram EvalServer::latency_histogram() const {
 
 ShardStats EvalServer::stats() const {
     ShardStats s;
-    s.version = kProtocolVersion;
     s.points_served = points_served();
     s.points_failed = points_failed();
     s.handshakes_rejected = handshakes_rejected();
@@ -414,8 +403,8 @@ EvalResult EvalServer::evaluate_one(const Vector& point) {
         ~InFlight() { n.fetch_sub(1); }
     } occupancy(in_flight_);
 
-    // Wall time per point feeds the lifetime latency histogram the v5
-    // stats reply serves (always on — monitoring state, like the
+    // Wall time per point feeds the lifetime latency histogram the stats
+    // reply serves (always on — monitoring state, like the
     // counters); the span only records when tracing is enabled.
     core::telemetry::Span span("eval", "server");
     const std::uint64_t eval_start = core::telemetry::now_us();
@@ -483,18 +472,31 @@ void EvalServer::dispatch_frame(ConnState& conn, std::vector<Vector> points) {
     }
 }
 
-bool EvalServer::process_hello(ConnState& conn, const Hello& hello) {
-    // Handshake: reject mismatched peers with a message, then close. The
-    // rejection is counted *before* the welcome frame goes out, so a
-    // client that has observed the refusal also observes the counter.
+bool EvalServer::process_opening(ConnState& conn, FrameKind kind, ByteView body) {
+    // Every refusal is counted *before* its reply goes out, so a client that
+    // has observed the refusal also observes the counter.
+    const auto refuse = [&] {
+        rejected_.fetch_add(1);
+        return false;  // alien or malformed: close without a reply
+    };
+    std::uint32_t version = 0;
+    if (!decode_version_prefix(body, version)) return refuse();
+    conn.phase = ConnState::Phase::Drain;
+    conn.close_after_flush = true;
     std::string refusal;
-    if (hello.version < kMinProtocolVersion || hello.version > max_version()) {
-        refusal = "protocol version mismatch: server speaks " +
-                  std::to_string(max_version()) + ", client sent " +
-                  std::to_string(hello.version);
+    Hello hello;
+    if (version != kProtocolVersion) {
+        refusal = version_mismatch_message(version);
+    } else if (kind == FrameKind::StatsRequest) {
+        if (!decode_version(body, version)) return refuse();
+        stats_served_.fetch_add(1);
+        encode_stats_reply(conn.out, stats());
+        return true;
+    } else if (!decode_hello(body, hello)) {
+        return refuse();
     } else if (hello.fingerprint != options_.fingerprint) {
-        refusal = "scenario fingerprint mismatch: server evaluates '" +
-                  options_.fingerprint + "', client wants '" + hello.fingerprint + "'";
+        refusal = "scenario fingerprint mismatch: server evaluates '" + options_.fingerprint +
+                  "', client wants '" + hello.fingerprint + "'";
     } else if (hello.replicates != options_.replicates) {
         refusal = "replicates mismatch: server averages " +
                   std::to_string(options_.replicates) + ", client wants " +
@@ -502,149 +504,64 @@ bool EvalServer::process_hello(ConnState& conn, const Hello& hello) {
     }
     if (!refusal.empty()) {
         rejected_.fetch_add(1);
-        encode_welcome(conn.out, kStatusError, refusal);
-        conn.phase = ConnState::Phase::Drain;
-        conn.close_after_flush = true;
+        encode_error(conn.out, refusal);
         return true;
     }
-    // The v5 welcome carries a sample of this process's telemetry clock,
-    // taken here at encode time — the anchor ehdoe-trace uses to shift
-    // this server's trace onto the client's timeline.
-    encode_welcome(conn.out, kStatusOk, "", hello.version, core::telemetry::now_us());
+    // The welcome carries a sample of this process's telemetry clock, taken
+    // here at encode time — the anchor ehdoe-trace uses to shift this
+    // server's trace onto the client's timeline.
+    encode_welcome(conn.out, core::telemetry::now_us());
     core::telemetry::instant("handshake", "server");
-    conn.version = hello.version;
     conn.phase = ConnState::Phase::Eval;  // lifts the pre-handshake deadline
+    conn.close_after_flush = false;
     return true;
 }
 
-void EvalServer::process_stats_request(ConnState& conn, std::uint32_t version) {
-    if (version < kMinProtocolVersion || version > max_version()) {
-        rejected_.fetch_add(1);
-        encode_stats_reply(conn.out, kStatusError, ShardStats{},
-                           "protocol version mismatch: server speaks " +
-                               std::to_string(max_version()) + ", client sent " +
-                               std::to_string(version));
-    } else {
-        stats_served_.fetch_add(1);
-        // The reply takes the shape of the *requested* version: a v4
-        // monitor polling this server keeps parsing through the rollout.
-        encode_stats_reply(conn.out, kStatusOk, stats(), "", version);
-    }
-    conn.phase = ConnState::Phase::Drain;
-    conn.close_after_flush = true;
-}
-
 bool EvalServer::parse_input(ConnState& conn) {
-    auto available = [&] { return conn.in.size() - conn.in_pos; };
-    auto peek_u64 = [&](std::size_t offset) {
-        std::uint64_t v = 0;
-        std::memcpy(&v, conn.in.data() + conn.in_pos + offset, sizeof v);
-        return v;
-    };
-    auto peek_u32 = [&](std::size_t offset) {
-        std::uint32_t v = 0;
-        std::memcpy(&v, conn.in.data() + conn.in_pos + offset, sizeof v);
-        return v;
-    };
-
+    // While a whole frame is buffered, decode it by kind. Lengths validate
+    // the moment their bytes arrive, so a hostile header dies before the
+    // peer sends (or we buffer) another byte.
+    std::size_t pos = 0;
     bool ok = true;
-    for (bool progress = true; ok && progress;) {
-        progress = false;
-        switch (conn.phase) {
-            case ConnState::Phase::Magic: {
-                if (available() < sizeof kHandshakeMagic) break;
-                ConnectionKind kind = ConnectionKind::Unknown;
-                if (std::memcmp(conn.in.data() + conn.in_pos, kHandshakeMagic,
-                                sizeof kHandshakeMagic) == 0) {
-                    kind = ConnectionKind::Eval;
-                } else if (std::memcmp(conn.in.data() + conn.in_pos, kStatsMagic,
-                                       sizeof kStatsMagic) == 0) {
-                    kind = ConnectionKind::Stats;
-                }
-                conn.in_pos += sizeof kHandshakeMagic;
-                if (kind == ConnectionKind::Unknown) {
-                    rejected_.fetch_add(1);  // alien magic: close without a reply
-                    ok = false;
-                    break;
-                }
-                conn.phase = kind == ConnectionKind::Eval ? ConnState::Phase::HelloBody
-                                                          : ConnState::Phase::StatsBody;
-                progress = true;
-                break;
+    try {
+        while (ok && conn.phase != ConnState::Phase::Drain) {
+            const std::size_t available = conn.in.size() - pos;
+            const unsigned char* frame = conn.in.data() + pos;
+            if (available < sizeof(std::uint32_t)) break;
+            std::uint32_t opening_kind = 0;
+            std::memcpy(&opening_kind, frame, sizeof opening_kind);
+            if (conn.phase == ConnState::Phase::Opening &&
+                opening_kind != static_cast<std::uint32_t>(FrameKind::Hello) &&
+                opening_kind != static_cast<std::uint32_t>(FrameKind::StatsRequest)) {
+                rejected_.fetch_add(1);  // an alien peer: close without a reply
+                return false;
             }
-            case ConnState::Phase::HelloBody: {
-                // u32 version, u64 fp_len, fp bytes, u64 replicates.
-                if (available() < 4 + 8) break;
-                const std::uint64_t fp_len = peek_u64(4);
-                if (fp_len > kSaneLimit) {
-                    rejected_.fetch_add(1);
-                    ok = false;
-                    break;
-                }
-                if (available() < 4 + 8 + fp_len + 8) break;
-                Hello hello;
-                hello.version = peek_u32(0);
-                hello.fingerprint.assign(
-                    reinterpret_cast<const char*>(conn.in.data() + conn.in_pos + 12),
-                    static_cast<std::size_t>(fp_len));
-                hello.replicates = peek_u64(12 + static_cast<std::size_t>(fp_len));
-                conn.in_pos += 4 + 8 + static_cast<std::size_t>(fp_len) + 8;
-                ok = process_hello(conn, hello);
-                progress = true;
-                break;
+            if (available < kFrameHeaderBytes) break;
+            FrameKind kind{};
+            std::uint64_t body_len = 0;
+            decode_frame_header(frame, kind, body_len);
+            if (body_len > kMaxFrameBody) {
+                if (conn.phase == ConnState::Phase::Opening) rejected_.fetch_add(1);
+                return false;
             }
-            case ConnState::Phase::StatsBody: {
-                if (available() < 4) break;
-                const std::uint32_t version = peek_u32(0);
-                conn.in_pos += 4;
-                process_stats_request(conn, version);
-                progress = true;
-                break;
+            if (available - kFrameHeaderBytes < body_len) break;
+            const ByteView body(frame + kFrameHeaderBytes, static_cast<std::size_t>(body_len));
+            pos += kFrameHeaderBytes + static_cast<std::size_t>(body_len);
+            if (conn.phase == ConnState::Phase::Opening) {
+                ok = process_opening(conn, kind, body);
+                continue;
             }
-            case ConnState::Phase::Eval: {
-                // batch request := u64 count, u64 dim, count*dim x f64 (the
-                // only eval framing since v4 became the floor). Each length
-                // validates the moment its bytes arrive, so a hostile
-                // header dies before the peer sends (or we buffer) another
-                // byte.
-                if (available() < 8) break;
-                const std::uint64_t count = peek_u64(0);
-                if (count == 0 || count > kSaneLimit) {
-                    ok = false;  // corrupt or hostile framing
-                    break;
-                }
-                if (available() < 16) break;
-                const std::uint64_t dim = peek_u64(8);
-                if (dim > kSaneLimit || count * dim > kSaneLimit) {
-                    ok = false;
-                    break;
-                }
-                const std::size_t body = static_cast<std::size_t>(count * dim) * 8;
-                if (available() < 16 + body) break;
-                std::vector<Vector> pts(static_cast<std::size_t>(count),
-                                        Vector(static_cast<std::size_t>(dim)));
-                const unsigned char* src = conn.in.data() + conn.in_pos + 16;
-                for (Vector& p : pts) {
-                    std::memcpy(p.data(), src, sizeof(double) * p.size());
-                    src += sizeof(double) * p.size();
-                }
-                conn.in_pos += 16 + body;
-                dispatch_frame(conn, std::move(pts));
-                progress = true;
-                break;
-            }
-            case ConnState::Phase::Drain:
-                // Terminal reply queued: any further input is ignored.
-                conn.in_pos = conn.in.size();
-                break;
+            std::vector<Vector> points;
+            ok = kind == FrameKind::BatchRequest && decode_batch_request(body, points);
+            if (ok) dispatch_frame(conn, std::move(points));
         }
+    } catch (const std::length_error&) {
+        ok = false;  // a reply over the frame cap (a hostile fingerprint echoed back)
     }
+    // A terminal reply is queued: any further input is ignored.
+    if (conn.phase == ConnState::Phase::Drain) pos = conn.in.size();
     // Compact the parsed prefix so the buffer never grows across frames.
-    if (conn.in_pos > 0) {
-        conn.in.erase(conn.in.begin(),
-                      conn.in.begin() + static_cast<std::ptrdiff_t>(conn.in_pos));
-        conn.in_pos = 0;
-    }
+    conn.in.erase(conn.in.begin(), conn.in.begin() + static_cast<std::ptrdiff_t>(pos));
     return ok;
 }
 
@@ -666,11 +583,9 @@ bool EvalServer::handle_readable(ConnState& conn) {
         if (errno == EAGAIN || errno == EWOULDBLOCK) break;
         return false;  // hard transport error
     }
-    if (!parse_input(conn)) return false;
-    flush_ready_frames(conn);
-    if (!try_flush(conn)) return false;
-    // A peer that vanished before completing its magic is NOT counted as a
-    // rejection: load-balancer/liveness TCP probes connect and close all
+    if (!parse_input(conn) || !flush_ready_frames(conn) || !try_flush(conn)) return false;
+    // A peer that vanished before completing its opening frame is NOT
+    // counted as a rejection: load-balancer/liveness TCP probes connect and close all
     // day, and the rejects counter must keep meaning "a peer spoke and was
     // refused" for farm monitoring to stay readable.
     if (conn.input_closed && conn.fifo.empty() && conn.out_pos == conn.out.size())
@@ -678,13 +593,18 @@ bool EvalServer::handle_readable(ConnState& conn) {
     return true;
 }
 
-void EvalServer::flush_ready_frames(ConnState& conn) {
+bool EvalServer::flush_ready_frames(ConnState& conn) {
     while (!conn.fifo.empty() &&
            conn.fifo.front()->remaining.load(std::memory_order_acquire) == 0) {
         const std::shared_ptr<PendingFrame> frame = conn.fifo.front();
         conn.fifo.pop_front();
-        encode_batch_result(conn.out, frame->results);
+        try {
+            encode_batch_result(conn.out, frame->results);
+        } catch (const std::length_error&) {
+            return false;  // results over the frame cap cannot be answered
+        }
     }
+    return true;
 }
 
 bool EvalServer::try_flush(ConnState& conn) {
@@ -801,8 +721,7 @@ void EvalServer::event_loop() {
                     const auto it = conn_states_.find(conn_id);
                     if (it == conn_states_.end()) continue;  // conn died first
                     ConnState& conn = *it->second;
-                    flush_ready_frames(conn);
-                    if (!try_flush(conn) ||
+                    if (!flush_ready_frames(conn) || !try_flush(conn) ||
                         (conn.input_closed && conn.fifo.empty() &&
                          conn.out_pos == conn.out.size())) {
                         close_conn(conn_id);
@@ -824,17 +743,17 @@ void EvalServer::event_loop() {
         }
         if (stopping_.load()) break;
 
-        // Expire stalled pre-handshake connections. Post-magic stalls count
-        // as rejections (the peer spoke and was refused); a silent
-        // connect-and-idle does not.
+        // Expire stalled pre-handshake connections. A stall after a valid
+        // opening kind counts as a rejection (the peer spoke and was
+        // refused); a silent connect-and-idle does not.
         if (timeout_ms >= 0) {
             const auto now = std::chrono::steady_clock::now();
             std::vector<std::uint64_t> expired;
             for (const auto& [id, conn] : conn_states_) {
                 if (conn->phase == ConnState::Phase::Eval) continue;
                 if (now - conn->opened_at < kHandshakeDeadline) continue;
-                if (conn->phase == ConnState::Phase::HelloBody ||
-                    conn->phase == ConnState::Phase::StatsBody)
+                if (conn->phase == ConnState::Phase::Opening &&
+                    conn->in.size() >= sizeof(std::uint32_t))
                     rejected_.fetch_add(1);
                 expired.push_back(id);
             }

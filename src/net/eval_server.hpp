@@ -3,32 +3,30 @@
 // The eval-server daemon: one shard of the distributed evaluation service.
 // Listens on a TCP socket, hosts a pool of in-process or forked-subprocess
 // workers — or, in exec mode, drives an *external simulator process* per
-// point from a SimRecipe (exec/) — and serves the versioned wire protocol
+// point from a SimRecipe (exec/) — and serves the framed wire protocol
 // (net/wire.hpp):
 //
-//   client                         server
-//     | -- hello (version, fp, reps) ->|   handshake: mismatched protocol
-//     | <- welcome (ok / reject) ------|   version, scenario fingerprint or
-//     | -- batch request (k points) -->|   replicate count is rejected with
-//     | <- batch result (k frames) ----|   a message, never served garbage
+//   client                           server
+//     | -- Hello (version, fp, reps) -->|   handshake: a mismatched protocol
+//     | <- Welcome / Error -------------|   version, scenario fingerprint or
+//     | -- BatchRequest (k points) ---->|   replicate count is refused with
+//     | <- BatchResult (k results) -----|   a message, never served garbage
 //
 // One epoll-driven event thread multiplexes every connection: it accepts,
-// parses handshakes and request frames incrementally off per-connection
-// buffers, hands decoded points to the shared worker pool, and flushes
-// completed response frames back with non-blocking writes. No thread is
+// decodes every whole frame buffered on a connection by its kind, hands
+// decoded points to the shared worker pool, and flushes completed response
+// frames back with non-blocking writes. No thread is
 // ever parked on one peer's socket, so the connection count scales to
 // whatever the fd limit allows, not the thread budget.
 //
 // Requests pipeline: a client may keep several frames in flight per
 // connection; responses come back in request order (FIFO per connection).
-// Every supported version (v4+) moves whole sub-batches per frame; the
-// handshake's version picks the *reply shapes* (a v5 welcome carries the
-// server clock sample, a v5 stats reply the latency histogram). Points
-// from one frame — and from concurrent connections — evaluate in parallel
-// up to the configured worker count.
+// Each frame carries a client's whole sub-batch; points from one frame —
+// and from concurrent connections — evaluate in parallel up to the
+// configured worker count.
 //
 // Observability: every evaluated point's wall time feeds a lifetime
-// latency histogram (core/telemetry.hpp) served in the v5 stats reply;
+// latency histogram (core/telemetry.hpp) served in the stats reply;
 // with tracing enabled the accept/handshake/eval path records spans.
 // Both are strictly observational — results are bitwise identical either
 // way.
@@ -40,8 +38,8 @@
 // cannot take the shard down. The ehdoe-eval-server binary
 // (tools/eval_server_main.cpp) wraps this class behind CLI flags.
 //
-// A connection that opens with the stats magic instead of the eval
-// handshake is answered with one stats frame (per-server counters +
+// A connection that opens with a StatsRequest instead of a Hello is
+// answered with one stats frame (per-server counters +
 // uptime) and closed — the monitoring path never enters the FIFO eval
 // pipeline, so a farm dashboard polling stats cannot delay evaluation
 // traffic (ehdoe-farm-stats, tools/farm_stats_main.cpp).
@@ -98,14 +96,9 @@ struct EvalServerOptions {
     /// Simulation identity (e.g. Scenario::fingerprint()); a client whose
     /// hello carries a different fingerprint is rejected at handshake.
     std::string fingerprint;
-    /// Newest protocol version this server admits (clamped to
-    /// [kMinProtocolVersion, kProtocolVersion]). The default serves the
-    /// full supported range; pinning kMinProtocolVersion emulates a
-    /// previous-version server for rollout/negotiation testing.
-    std::uint32_t max_protocol_version = kProtocolVersion;
     /// Metrics sampling interval (core/metrics.hpp): > 0 runs a sampler
-    /// thread appending one snapshot row per interval to the ring the v7
-    /// stats reply carries. 0 (default) disables sampling entirely.
+    /// thread appending one snapshot row per interval to the ring the stats
+    /// reply carries. 0 (default) disables sampling entirely.
     /// Strictly observational either way.
     double metrics_interval_seconds = 0.0;
     /// Ring capacity in rows (clamped to the wire's kMaxMetricSamples).
@@ -150,13 +143,13 @@ public:
     std::size_t stats_served() const { return stats_served_.load(); }
 
     /// Snapshot of this server's lifetime eval-latency histogram (wall
-    /// time per point, microseconds) — what the v5 stats reply carries.
+    /// time per point, microseconds) — what the stats reply carries.
     core::telemetry::LatencyHistogram latency_histogram() const;
 
     /// Force one metrics sample now (deterministic tests; no-op when
     /// metrics sampling is disabled).
     void sample_metrics_now();
-    /// Snapshot of the metrics ring — what the v7 stats reply carries
+    /// Snapshot of the metrics ring — what the stats reply carries
     /// (empty when sampling is disabled).
     core::metrics::RingSnapshot metrics_snapshot() const;
 
@@ -173,13 +166,15 @@ private:
     void handle_accept();
     /// Drain readable bytes and parse; false when the connection must close.
     bool handle_readable(ConnState& conn);
+    /// Decode every whole frame buffered on the connection.
     bool parse_input(ConnState& conn);
-    bool process_hello(ConnState& conn, const Hello& hello);
-    void process_stats_request(ConnState& conn, std::uint32_t version);
+    /// The connection's first frame: a Hello or a StatsRequest.
+    bool process_opening(ConnState& conn, FrameKind kind, ByteView body);
     /// Queue one decoded request frame: FIFO slot + one pool task per point.
     void dispatch_frame(ConnState& conn, std::vector<Vector> points);
-    /// Encode every completed frame at the FIFO front into the out buffer.
-    void flush_ready_frames(ConnState& conn);
+    /// Encode every completed frame at the FIFO front into the out buffer;
+    /// false when a frame cannot be encoded.
+    bool flush_ready_frames(ConnState& conn);
     /// Non-blocking drain of the out buffer; false on a dead peer.
     bool try_flush(ConnState& conn);
     void update_interest(ConnState& conn);
@@ -188,7 +183,6 @@ private:
     void close_conn(std::uint64_t id);
     /// Worker-side: mark a frame's connection ready and wake the loop.
     void notify_frame_done(std::uint64_t conn_id);
-    std::uint32_t max_version() const;
     EvalResult evaluate_one(const Vector& point);
 
     core::Simulation sim_;

@@ -2,7 +2,7 @@
 //
 // The client half of the distributed evaluation service: a core::EvalBackend
 // that shards every batch across N eval-server endpoints (net/eval_server.hpp)
-// over persistent TCP connections speaking the versioned wire protocol.
+// over persistent TCP connections speaking the framed wire protocol.
 //
 //  * Deterministic weighted sharding — the points of a batch are assigned
 //    to the live endpoints by a smooth weighted round-robin whose weights
@@ -20,13 +20,10 @@
 //    throughput) instead of the recorded ledger.
 //
 //  * Batched frames — every connection ships its whole sub-batch as one
-//    request frame and receives one result frame back (scatter/gather
-//    through a reused scratch buffer), so the per-point syscall pair and
-//    round-trip collapse to one per sub-batch. Each endpoint negotiates
-//    its version at handshake: the client leads with the newest protocol
-//    and re-dials at the version an older server names in its rejection,
-//    so a mixed-version farm (v4/v5 reply shapes) keeps serving while it
-//    rolls forward.
+//    request frame and receives one result frame back (a single send out
+//    of a reused scratch buffer; a header read plus a body read in), so
+//    the per-point syscall pair and round-trip collapse to one per
+//    sub-batch.
 //
 //  * Pipelined connections — each endpoint keeps up to `pipeline` frames
 //    in flight (responses return in FIFO order), hiding the network
@@ -47,9 +44,10 @@
 //    rejoin points stay bitwise identical to InProcessBackend.
 //
 //  * Handshake — construction connects and handshakes every endpoint
-//    (protocol version, simulation fingerprint, replicate count); any
-//    mismatch throws with the server's rejection message instead of
-//    exchanging garbage frames.
+//    (exactly kProtocolVersion, simulation fingerprint, replicate count);
+//    any mismatch throws with the server's rejection message instead of
+//    exchanging garbage frames. There is no version negotiation: the client
+//    and the daemons are built from the same tree.
 //
 //  * Observability — shard_stats() polls every configured endpoint with
 //    the stats frame (a fresh connection outside the eval path) and merges
@@ -128,11 +126,6 @@ struct RemoteBackendOptions {
     std::size_t replicates = 1;
     /// Max frames in flight per connection (a frame is a whole sub-batch).
     std::size_t pipeline = 4;
-    /// Wire protocol version to speak: 0 auto-negotiates (lead with
-    /// kProtocolVersion, re-dial at the version a rejecting server names),
-    /// or pin a version in [kMinProtocolVersion, kProtocolVersion] — e.g. 4
-    /// to emulate a previous-cycle client against a mixed farm.
-    std::uint32_t protocol_version = 0;
     /// Assignment policy; Weighted unless benchmarking against Modulo.
     ShardingPolicy sharding = ShardingPolicy::Weighted;
     /// Explicit per-endpoint weights (parallel to `endpoints`), e.g.
@@ -171,9 +164,6 @@ public:
     std::size_t batches() const override { return batches_; }
 
     std::size_t live_endpoints() const;
-    /// The negotiated wire protocol version of each configured endpoint
-    /// (parallel to options().endpoints); a re-dialed endpoint re-negotiates.
-    std::vector<std::uint32_t> negotiated_versions() const;
     const RemoteBackendOptions& options() const { return options_; }
 
     /// Re-dial attempts made (between batches) against dead endpoints.

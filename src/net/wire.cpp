@@ -3,20 +3,122 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <mutex>
 #include <set>
 #include <stdexcept>
 
 namespace ehdoe::net {
 
+using core::codec::Reader;
+using core::codec::Writer;
+
 namespace {
 
 std::mutex g_parent_fds_mutex;
 std::set<int> g_parent_fds;
 
+/// Append one `kind` frame whose body `write_body(Writer&)` produces; the
+/// body length is patched in afterwards. A body over the cap is refused
+/// before it can reach a transport.
+template <class WriteBody>
+void encode_frame(std::vector<unsigned char>& out, FrameKind kind, WriteBody&& write_body) {
+    const std::size_t start = out.size();
+    out.resize(start + kFrameHeaderBytes);
+    const auto k = static_cast<std::uint32_t>(kind);
+    std::memcpy(out.data() + start, &k, sizeof k);
+    Writer w(out);
+    write_body(w);
+    const std::uint64_t len = out.size() - start - kFrameHeaderBytes;
+    if (len > kMaxFrameBody) {
+        out.resize(start);
+        throw std::length_error("wire: a frame body of " + std::to_string(len) +
+                                " bytes exceeds the " + std::to_string(kMaxFrameBody) +
+                                "-byte frame cap");
+    }
+    std::memcpy(out.data() + start + sizeof k, &len, sizeof len);
+}
+
+/// The metrics-ring block shared by the eval and store stats replies.
+/// Encoding clamps to the wire caps (a correctly configured server never
+/// hits them: the caps exist for the reader).
+void write_ring(Writer& w, const core::metrics::RingSnapshot& ring) {
+    if (ring.series.size() > kMaxMetricSeries) {
+        // Misconfigured registry: send an empty ring rather than a frame
+        // every honest reader must reject.
+        w.u64(ring.interval_us);
+        w.u64(ring.first_seq);
+        w.u64(0);
+        w.u64(0);
+        return;
+    }
+    const std::size_t skip =
+        ring.rows.size() > kMaxMetricSamples ? ring.rows.size() - kMaxMetricSamples : 0;
+    w.u64(ring.interval_us);
+    w.u64(ring.first_seq + skip);
+    w.u64(ring.series.size());
+    for (const std::string& name : ring.series) {
+        const std::size_t len = std::min<std::size_t>(name.size(), kMaxMetricNameLen);
+        w.u64(len);
+        w.bytes(name.data(), len);
+    }
+    w.u64(ring.rows.size() - skip);
+    for (std::size_t r = skip; r < ring.rows.size(); ++r) {
+        const core::metrics::RingSnapshot::Row& row = ring.rows[r];
+        w.u64(row.t_us);
+        for (std::size_t c = 0; c < ring.series.size(); ++c)
+            w.f64(c < row.values.size() ? row.values[c] : 0.0);
+    }
+}
+
+/// Decode a metrics-ring block; every count is checked against its domain
+/// cap and the remaining bytes before any allocation.
+bool read_ring(Reader& r, core::metrics::RingSnapshot& ring) {
+    ring = core::metrics::RingSnapshot{};
+    std::uint64_t n_series = 0;
+    if (!r.u64(ring.interval_us) || !r.u64(ring.first_seq) ||
+        !r.count(n_series, sizeof(std::uint64_t)) || n_series > kMaxMetricSeries)
+        return false;
+    ring.series.resize(static_cast<std::size_t>(n_series));
+    for (std::string& name : ring.series) {
+        if (!r.str(name) || name.size() > kMaxMetricNameLen) return false;
+    }
+    const std::size_t row_bytes = sizeof(std::uint64_t) * (1 + ring.series.size());
+    std::uint64_t n_rows = 0;
+    if (!r.count(n_rows, row_bytes) || n_rows > kMaxMetricSamples) return false;
+    ring.rows.resize(static_cast<std::size_t>(n_rows));
+    for (core::metrics::RingSnapshot::Row& row : ring.rows) {
+        row.values.resize(ring.series.size());
+        if (!r.u64(row.t_us) ||
+            !r.bytes(row.values.data(), sizeof(double) * row.values.size()))
+            return false;
+    }
+    return true;
+}
+
+bool decode_result(Reader& r, EvalResult& result) {
+    std::uint64_t status = kStatusError;
+    if (!r.u64(status)) return false;
+    result.ok = status == kStatusOk;
+    result.responses.clear();
+    result.error.clear();
+    if (status == kStatusOk) return r.responses(result.responses);
+    return status == kStatusError && r.str(result.error);
+}
+
 }  // namespace
+
+std::string version_mismatch_message(std::uint32_t client_version) {
+    return "protocol version mismatch: server speaks " + std::to_string(kProtocolVersion) +
+           ", client sent " + std::to_string(client_version);
+}
+
+// ---------------------------------------------------------------------------
+// Blocking I/O
+// ---------------------------------------------------------------------------
 
 bool read_exact(int fd, void* buf, std::size_t len) {
     auto* p = static_cast<unsigned char*>(buf);
@@ -49,639 +151,339 @@ bool write_all(int fd, const void* buf, std::size_t len) {
     return true;
 }
 
-bool read_u64(int fd, std::uint64_t& v) { return read_exact(fd, &v, sizeof v); }
-bool write_u64(int fd, std::uint64_t v) { return write_all(fd, &v, sizeof v); }
-
-// ---------------------------------------------------------------------------
-// Evaluation frames
-// ---------------------------------------------------------------------------
-
-bool write_request(int fd, const Vector& natural) {
-    return write_u64(fd, natural.size()) &&
-           write_all(fd, natural.data(), sizeof(double) * natural.size());
+void decode_frame_header(const unsigned char* p, FrameKind& kind, std::uint64_t& body_len) {
+    std::uint32_t k = 0;
+    std::memcpy(&k, p, sizeof k);
+    std::memcpy(&body_len, p + sizeof k, sizeof body_len);
+    kind = static_cast<FrameKind>(k);
 }
 
-bool read_request(int fd, Vector& natural) {
-    std::uint64_t dim = 0;
-    if (!read_u64(fd, dim) || dim > kSaneLimit) return false;
-    natural = Vector(static_cast<std::size_t>(dim));
-    return read_exact(fd, natural.data(), sizeof(double) * natural.size());
-}
-
-bool write_result(int fd, const EvalResult& result) {
-    if (!write_u64(fd, result.ok ? kStatusOk : kStatusError)) return false;
-    if (result.ok) {
-        if (!write_u64(fd, result.responses.size())) return false;
-        for (const auto& [name, value] : result.responses) {
-            if (!write_u64(fd, name.size()) || !write_all(fd, name.data(), name.size()) ||
-                !write_all(fd, &value, sizeof value))
-                return false;
-        }
-        return true;
-    }
-    return write_u64(fd, result.error.size()) &&
-           write_all(fd, result.error.data(), result.error.size());
-}
-
-bool read_result(int fd, EvalResult& result) {
-    result = EvalResult{};
-    std::uint64_t status = kStatusError;
-    if (!read_u64(fd, status)) return false;
-    if (status == kStatusOk) {
-        std::uint64_t n = 0;
-        if (!read_u64(fd, n) || n > kSaneLimit) return false;
-        for (std::uint64_t j = 0; j < n; ++j) {
-            std::uint64_t len = 0;
-            if (!read_u64(fd, len) || len > kSaneLimit) return false;
-            std::string name(static_cast<std::size_t>(len), '\0');
-            double value = 0.0;
-            if (!read_exact(fd, name.data(), name.size())) return false;
-            if (!read_exact(fd, &value, sizeof value)) return false;
-            result.responses.emplace(std::move(name), value);
-        }
-        result.ok = true;
-        return true;
-    }
-    if (status != kStatusError) return false;  // unknown status: broken frame
+bool read_frame(int fd, FrameKind& kind, std::vector<unsigned char>& body) {
+    unsigned char header[kFrameHeaderBytes];
     std::uint64_t len = 0;
-    if (!read_u64(fd, len) || len > kSaneLimit) return false;
-    result.error.assign(static_cast<std::size_t>(len), '\0');
-    return read_exact(fd, result.error.data(), result.error.size());
+    if (!read_exact(fd, header, sizeof header)) return false;
+    decode_frame_header(header, kind, len);
+    if (len > kMaxFrameBody) return false;
+    body.resize(static_cast<std::size_t>(len));
+    return read_exact(fd, body.data(), body.size());
+}
+
+bool read_reply(int fd, FrameKind want, std::vector<unsigned char>& body,
+                std::string& refusal) {
+    refusal.clear();
+    FrameKind kind{};
+    if (!read_frame(fd, kind, body)) return false;
+    if (kind == want) return true;
+    if (kind != FrameKind::Error) return false;
+    if (!decode_error(body, refusal)) refusal.clear();  // a garbled refusal: a broken peer
+    else if (refusal.empty()) refusal = "(no message)";
+    return false;
 }
 
 // ---------------------------------------------------------------------------
-// Batch frames (protocol v4)
+// Messages
 // ---------------------------------------------------------------------------
 
-namespace {
-
-void append_u64(std::vector<unsigned char>& out, std::uint64_t v) {
-    const auto* p = reinterpret_cast<const unsigned char*>(&v);
-    out.insert(out.end(), p, p + sizeof v);
+void encode_stats_request(std::vector<unsigned char>& out, std::uint32_t version) {
+    encode_frame(out, FrameKind::StatsRequest, [&](Writer& w) { w.u32(version); });
 }
 
-void append_bytes(std::vector<unsigned char>& out, const void* data, std::size_t len) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    out.insert(out.end(), p, p + len);
+void encode_store_hello(std::vector<unsigned char>& out, std::uint32_t version) {
+    encode_frame(out, FrameKind::StoreHello, [&](Writer& w) { w.u32(version); });
 }
 
-/// The v7 metrics-ring block shared by the eval and store stats replies.
-/// Encoding clamps to the wire caps (a correctly configured server never
-/// hits them: the caps exist for the *reader*, which validates every
-/// length before allocating).
-void append_metrics_ring(std::vector<unsigned char>& out,
-                         const core::metrics::RingSnapshot& ring) {
-    if (ring.series.size() > kMaxMetricSeries) {
-        // Misconfigured registry: send an empty ring rather than a frame
-        // every honest reader must reject.
-        append_u64(out, ring.interval_us);
-        append_u64(out, ring.first_seq);
-        append_u64(out, 0);
-        append_u64(out, 0);
-        return;
-    }
-    const std::size_t skip =
-        ring.rows.size() > kMaxMetricSamples ? ring.rows.size() - kMaxMetricSamples : 0;
-    append_u64(out, ring.interval_us);
-    append_u64(out, ring.first_seq + skip);
-    append_u64(out, ring.series.size());
-    for (const std::string& name : ring.series) {
-        const std::size_t len =
-            name.size() > kMaxMetricNameLen ? kMaxMetricNameLen : name.size();
-        append_u64(out, len);
-        append_bytes(out, name.data(), len);
-    }
-    append_u64(out, ring.rows.size() - skip);
-    for (std::size_t r = skip; r < ring.rows.size(); ++r) {
-        const core::metrics::RingSnapshot::Row& row = ring.rows[r];
-        append_u64(out, row.t_us);
-        for (std::size_t c = 0; c < ring.series.size(); ++c) {
-            const double v = c < row.values.size() ? row.values[c] : 0.0;
-            append_bytes(out, &v, sizeof v);
+bool decode_version(ByteView body, std::uint32_t& version) {
+    Reader r(body);
+    return r.u32(version) && r.done();
+}
+
+bool decode_version_prefix(ByteView body, std::uint32_t& version) {
+    return Reader(body).u32(version);
+}
+
+void encode_hello(std::vector<unsigned char>& out, const Hello& hello) {
+    encode_frame(out, FrameKind::Hello, [&](Writer& w) {
+        w.u32(hello.version);
+        w.str(hello.fingerprint);
+        w.u64(hello.replicates);
+    });
+}
+
+bool decode_hello(ByteView body, Hello& hello) {
+    Reader r(body);
+    return r.u32(hello.version) && r.str(hello.fingerprint) && r.u64(hello.replicates) &&
+           r.done();
+}
+
+void encode_welcome(std::vector<unsigned char>& out, std::uint64_t server_now_us) {
+    encode_frame(out, FrameKind::Welcome, [&](Writer& w) { w.u64(server_now_us); });
+}
+
+bool decode_welcome(ByteView body, std::uint64_t& server_now_us) {
+    Reader r(body);
+    return r.u64(server_now_us) && r.done();
+}
+
+void encode_error(std::vector<unsigned char>& out, const std::string& message) {
+    encode_frame(out, FrameKind::Error, [&](Writer& w) { w.str(message); });
+}
+
+bool decode_error(ByteView body, std::string& message) {
+    Reader r(body);
+    return r.str(message) && r.done();
+}
+
+void encode_stats_reply(std::vector<unsigned char>& out, const ShardStats& stats) {
+    encode_frame(out, FrameKind::StatsReply, [&](Writer& w) {
+        w.u64(stats.points_served);
+        w.u64(stats.points_failed);
+        w.u64(stats.handshakes_rejected);
+        w.u64(stats.worker_respawns);
+        w.u64(stats.points_timed_out);
+        w.u64(stats.in_flight);
+        w.u64(stats.connections_accepted);
+        w.f64(stats.uptime_seconds);
+        w.u64(stats.latency_buckets.size());
+        for (const auto& [index, count] : stats.latency_buckets) {
+            w.u64(index);
+            w.u64(count);
         }
-    }
+        w.f64(stats.latency_p50_us);
+        w.f64(stats.latency_p95_us);
+        w.f64(stats.latency_p99_us);
+        write_ring(w, stats.metrics);
+    });
 }
 
-/// Decode one v7 metrics-ring block; every length is checked against its
-/// cap before any allocation (the v5 histogram discipline).
-bool read_metrics_ring(int fd, core::metrics::RingSnapshot& ring) {
-    ring = core::metrics::RingSnapshot{};
-    if (!read_u64(fd, ring.interval_us) || !read_u64(fd, ring.first_seq)) return false;
-    std::uint64_t n_series = 0;
-    if (!read_u64(fd, n_series) || n_series > kMaxMetricSeries) return false;
-    ring.series.reserve(static_cast<std::size_t>(n_series));
-    for (std::uint64_t i = 0; i < n_series; ++i) {
-        std::uint64_t len = 0;
-        if (!read_u64(fd, len) || len > kMaxMetricNameLen) return false;
-        std::string name(static_cast<std::size_t>(len), '\0');
-        if (!read_exact(fd, name.data(), name.size())) return false;
-        ring.series.push_back(std::move(name));
+bool decode_stats_reply(ByteView body, ShardStats& stats) {
+    stats = ShardStats{};
+    Reader r(body);
+    if (!(r.u64(stats.points_served) && r.u64(stats.points_failed) &&
+          r.u64(stats.handshakes_rejected) && r.u64(stats.worker_respawns) &&
+          r.u64(stats.points_timed_out) && r.u64(stats.in_flight) &&
+          r.u64(stats.connections_accepted) && r.f64(stats.uptime_seconds)))
+        return false;
+    // A bucket count beyond the telemetry histogram's own resolution is
+    // corrupt, not large; so is any index past it.
+    std::uint64_t n = 0;
+    if (!r.count(n, 2 * sizeof(std::uint64_t)) || n > kMaxHistogramBuckets) return false;
+    stats.latency_buckets.resize(static_cast<std::size_t>(n));
+    for (auto& [index, count] : stats.latency_buckets) {
+        if (!r.u64(index) || index >= kMaxHistogramBuckets || !r.u64(count)) return false;
     }
-    std::uint64_t n_rows = 0;
-    if (!read_u64(fd, n_rows) || n_rows > kMaxMetricSamples) return false;
-    ring.rows.reserve(static_cast<std::size_t>(n_rows));
-    for (std::uint64_t r = 0; r < n_rows; ++r) {
-        core::metrics::RingSnapshot::Row row;
-        if (!read_u64(fd, row.t_us)) return false;
-        row.values.resize(static_cast<std::size_t>(n_series));
-        if (!read_exact(fd, row.values.data(), sizeof(double) * row.values.size()))
-            return false;
-        ring.rows.push_back(std::move(row));
-    }
-    return true;
+    return r.f64(stats.latency_p50_us) && r.f64(stats.latency_p95_us) &&
+           r.f64(stats.latency_p99_us) && read_ring(r, stats.metrics) && r.done();
 }
-
-}  // namespace
 
 void encode_batch_request(std::vector<unsigned char>& out, const std::vector<Vector>& points,
                           const std::vector<std::size_t>& indices) {
     const std::size_t dim = indices.empty() ? 0 : points[indices.front()].size();
-    out.reserve(out.size() + 2 * sizeof(std::uint64_t) +
-                indices.size() * dim * sizeof(double));
-    append_u64(out, indices.size());
-    append_u64(out, dim);
-    for (const std::size_t idx : indices) {
-        append_bytes(out, points[idx].data(), dim * sizeof(double));
-    }
+    encode_frame(out, FrameKind::BatchRequest, [&](Writer& w) {
+        w.u64(indices.size());
+        w.u64(dim);
+        for (const std::size_t idx : indices) w.bytes(points[idx].data(), dim * sizeof(double));
+    });
 }
 
-bool write_batch_request(int fd, const std::vector<Vector>& points,
-                         const std::vector<std::size_t>& indices,
-                         std::vector<unsigned char>& scratch) {
-    scratch.clear();
-    encode_batch_request(scratch, points, indices);
-    return write_all(fd, scratch.data(), scratch.size());
-}
-
-bool read_batch_request(int fd, std::vector<Vector>& points) {
+bool decode_batch_request(ByteView body, std::vector<Vector>& points) {
+    Reader r(body);
     std::uint64_t count = 0;
     std::uint64_t dim = 0;
-    if (!read_u64(fd, count) || count == 0 || count > kSaneLimit) return false;
-    if (!read_u64(fd, dim) || dim > kSaneLimit || count * dim > kSaneLimit) return false;
+    if (!r.u64(count) || !r.u64(dim) || count == 0 || dim == 0) return false;
+    // count x dim must be exactly the coordinates the body carries.
+    const std::size_t coords = r.remaining() / sizeof(double);
+    if (dim > coords || count > coords / dim || count * dim * sizeof(double) != r.remaining())
+        return false;
     points.assign(static_cast<std::size_t>(count), Vector(static_cast<std::size_t>(dim)));
-    for (Vector& p : points) {
-        if (!read_exact(fd, p.data(), sizeof(double) * p.size())) return false;
-    }
-    return true;
-}
-
-void encode_result(std::vector<unsigned char>& out, const EvalResult& result) {
-    if (result.ok) {
-        append_u64(out, kStatusOk);
-        append_u64(out, result.responses.size());
-        for (const auto& [name, value] : result.responses) {
-            append_u64(out, name.size());
-            append_bytes(out, name.data(), name.size());
-            append_bytes(out, &value, sizeof value);
-        }
-        return;
-    }
-    append_u64(out, kStatusError);
-    append_u64(out, result.error.size());
-    append_bytes(out, result.error.data(), result.error.size());
+    for (Vector& p : points) r.bytes(p.data(), sizeof(double) * p.size());
+    return r.done();
 }
 
 void encode_batch_result(std::vector<unsigned char>& out,
                          const std::vector<EvalResult>& results) {
-    append_u64(out, results.size());
-    for (const EvalResult& r : results) encode_result(out, r);
-}
-
-bool write_batch_result(int fd, const std::vector<EvalResult>& results,
-                        std::vector<unsigned char>& scratch) {
-    scratch.clear();
-    encode_batch_result(scratch, results);
-    return write_all(fd, scratch.data(), scratch.size());
-}
-
-bool read_batch_result(int fd, std::size_t expected, std::vector<EvalResult>& results) {
-    results.clear();
-    std::uint64_t count = 0;
-    if (!read_u64(fd, count) || count != expected) return false;
-    results.resize(static_cast<std::size_t>(count));
-    for (EvalResult& r : results) {
-        // Each body is exactly one v3 response frame (status + payload).
-        if (!read_result(fd, r)) return false;
-    }
-    return true;
-}
-
-// ---------------------------------------------------------------------------
-// Handshake frames
-// ---------------------------------------------------------------------------
-
-bool write_hello(int fd, const Hello& hello) {
-    return write_all(fd, kHandshakeMagic, sizeof kHandshakeMagic) &&
-           write_all(fd, &hello.version, sizeof hello.version) &&
-           write_u64(fd, hello.fingerprint.size()) &&
-           write_all(fd, hello.fingerprint.data(), hello.fingerprint.size()) &&
-           write_u64(fd, hello.replicates);
-}
-
-bool read_hello(int fd, Hello& hello) {
-    ConnectionKind kind = ConnectionKind::Unknown;
-    if (!read_connection_magic(fd, kind) || kind != ConnectionKind::Eval) return false;
-    return read_hello_body(fd, hello);
-}
-
-bool read_hello_body(int fd, Hello& hello) {
-    if (!read_exact(fd, &hello.version, sizeof hello.version)) return false;
-    std::uint64_t fp_len = 0;
-    if (!read_u64(fd, fp_len) || fp_len > kSaneLimit) return false;
-    hello.fingerprint.assign(static_cast<std::size_t>(fp_len), '\0');
-    if (!read_exact(fd, hello.fingerprint.data(), hello.fingerprint.size())) return false;
-    return read_u64(fd, hello.replicates);
-}
-
-void encode_welcome(std::vector<unsigned char>& out, std::uint64_t status,
-                    const std::string& message, std::uint32_t version,
-                    std::uint64_t server_now_us) {
-    append_u64(out, status);
-    if (status == kStatusOk) {
-        if (version >= 5) append_u64(out, server_now_us);
-        return;
-    }
-    append_u64(out, message.size());
-    append_bytes(out, message.data(), message.size());
-}
-
-bool write_welcome(int fd, std::uint64_t status, const std::string& message,
-                   std::uint32_t version, std::uint64_t server_now_us) {
-    // One send per frame: a frame split over two writes waits on Nagle
-    // until the peer's delayed ACK.
-    std::vector<unsigned char> scratch;
-    encode_welcome(scratch, status, message, version, server_now_us);
-    return write_all(fd, scratch.data(), scratch.size());
-}
-
-bool read_welcome(int fd, std::uint64_t& status, std::string& message, std::uint32_t version,
-                  std::uint64_t* server_now_us) {
-    message.clear();
-    if (!read_u64(fd, status)) return false;
-    if (status == kStatusOk) {
-        if (version < 5) return true;
-        std::uint64_t ts = 0;
-        if (!read_u64(fd, ts)) return false;
-        if (server_now_us) *server_now_us = ts;
-        return true;
-    }
-    std::uint64_t len = 0;
-    if (!read_u64(fd, len) || len > kSaneLimit) return false;
-    message.assign(static_cast<std::size_t>(len), '\0');
-    return read_exact(fd, message.data(), message.size());
-}
-
-// ---------------------------------------------------------------------------
-// Connection-kind dispatch and the stats frame
-// ---------------------------------------------------------------------------
-
-bool read_connection_magic(int fd, ConnectionKind& kind) {
-    char magic[sizeof kHandshakeMagic];
-    if (!read_exact(fd, magic, sizeof magic)) return false;
-    const auto matches = [&](const char (&expected)[6]) {
-        for (std::size_t i = 0; i < sizeof magic; ++i) {
-            if (magic[i] != expected[i]) return false;
+    encode_frame(out, FrameKind::BatchResult, [&](Writer& w) {
+        w.u64(results.size());
+        for (const EvalResult& result : results) {
+            if (result.ok) {
+                w.u64(kStatusOk);
+                w.responses(result.responses);
+            } else {
+                w.u64(kStatusError);
+                w.str(result.error);
+            }
         }
-        return true;
-    };
-    if (matches(kHandshakeMagic)) {
-        kind = ConnectionKind::Eval;
-    } else if (matches(kStatsMagic)) {
-        kind = ConnectionKind::Stats;
-    } else if (matches(kStoreMagic)) {
-        kind = ConnectionKind::Store;
-    } else {
-        kind = ConnectionKind::Unknown;
-    }
-    return true;
+    });
 }
 
-bool write_stats_request(int fd, std::uint32_t version) {
-    return write_all(fd, kStatsMagic, sizeof kStatsMagic) &&
-           write_all(fd, &version, sizeof version);
-}
-
-bool read_stats_request_body(int fd, std::uint32_t& version) {
-    return read_exact(fd, &version, sizeof version);
-}
-
-void encode_stats_reply(std::vector<unsigned char>& out, std::uint64_t status,
-                        const ShardStats& stats, const std::string& message,
-                        std::uint32_t version) {
-    append_u64(out, status);
-    if (status != kStatusOk) {
-        append_u64(out, message.size());
-        append_bytes(out, message.data(), message.size());
-        return;
-    }
-    append_bytes(out, &stats.version, sizeof stats.version);
-    append_u64(out, stats.points_served);
-    append_u64(out, stats.points_failed);
-    append_u64(out, stats.handshakes_rejected);
-    append_u64(out, stats.worker_respawns);
-    append_u64(out, stats.points_timed_out);
-    append_u64(out, stats.in_flight);
-    append_u64(out, stats.connections_accepted);
-    append_bytes(out, &stats.uptime_seconds, sizeof stats.uptime_seconds);
-    if (version < 5) return;  // a v4 requester gets exactly the v4 shape
-    append_u64(out, stats.latency_buckets.size());
-    for (const auto& [index, count] : stats.latency_buckets) {
-        append_u64(out, index);
-        append_u64(out, count);
-    }
-    append_bytes(out, &stats.latency_p50_us, sizeof stats.latency_p50_us);
-    append_bytes(out, &stats.latency_p95_us, sizeof stats.latency_p95_us);
-    append_bytes(out, &stats.latency_p99_us, sizeof stats.latency_p99_us);
-    if (version < 7) return;  // a v5/v6 requester gets exactly that shape
-    append_metrics_ring(out, stats.metrics);
-}
-
-bool write_stats_reply(int fd, std::uint64_t status, const ShardStats& stats,
-                       const std::string& message, std::uint32_t version) {
-    std::vector<unsigned char> scratch;
-    encode_stats_reply(scratch, status, stats, message, version);
-    return write_all(fd, scratch.data(), scratch.size());
-}
-
-bool read_stats_reply(int fd, std::uint64_t& status, ShardStats& stats, std::string& message,
-                      std::uint32_t version) {
-    message.clear();
-    stats = ShardStats{};
-    if (!read_u64(fd, status)) return false;
-    if (status != kStatusOk) {
-        std::uint64_t len = 0;
-        if (!read_u64(fd, len) || len > kSaneLimit) return false;
-        message.assign(static_cast<std::size_t>(len), '\0');
-        return read_exact(fd, message.data(), message.size());
-    }
-    if (!(read_exact(fd, &stats.version, sizeof stats.version) &&
-          read_u64(fd, stats.points_served) && read_u64(fd, stats.points_failed) &&
-          read_u64(fd, stats.handshakes_rejected) && read_u64(fd, stats.worker_respawns) &&
-          read_u64(fd, stats.points_timed_out) && read_u64(fd, stats.in_flight) &&
-          read_u64(fd, stats.connections_accepted) &&
-          read_exact(fd, &stats.uptime_seconds, sizeof stats.uptime_seconds)))
-        return false;
-    if (version < 5) return true;
-    // v5 latency histogram: the bucket count and every index are validated
-    // before any allocation — a frame claiming more buckets than the
-    // telemetry histogram owns is corrupt, not large.
-    std::uint64_t n = 0;
-    if (!read_u64(fd, n) || n > kMaxHistogramBuckets) return false;
-    stats.latency_buckets.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n; ++i) {
-        std::uint64_t index = 0;
-        std::uint64_t count = 0;
-        if (!read_u64(fd, index) || index >= kMaxHistogramBuckets) return false;
-        if (!read_u64(fd, count)) return false;
-        stats.latency_buckets.emplace_back(index, count);
-    }
-    if (!(read_exact(fd, &stats.latency_p50_us, sizeof stats.latency_p50_us) &&
-          read_exact(fd, &stats.latency_p95_us, sizeof stats.latency_p95_us) &&
-          read_exact(fd, &stats.latency_p99_us, sizeof stats.latency_p99_us)))
-        return false;
-    if (version < 7) return true;
-    // v7 metrics ring, validated before allocation like the histogram.
-    return read_metrics_ring(fd, stats.metrics);
-}
-
-// ---------------------------------------------------------------------------
-// Store frames (protocol v6)
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// Cumulative pre-allocation budget for one store frame: every length a
-/// decoder is about to allocate is charged against the remaining budget, so
-/// a frame's *total* claimed size is bounded by kSaneLimit even when each
-/// individual field passes its own check.
-class FrameBudget {
-  public:
-    bool charge(std::uint64_t bytes) {
-        if (bytes > remaining_) return false;
-        remaining_ -= bytes;
-        return true;
-    }
-
-  private:
-    std::uint64_t remaining_ = kSaneLimit;
-};
-
-bool read_string_budgeted(int fd, std::string& out, FrameBudget& budget) {
-    std::uint64_t len = 0;
-    if (!read_u64(fd, len) || len > kSaneLimit || !budget.charge(len)) return false;
-    out.assign(static_cast<std::size_t>(len), '\0');
-    return read_exact(fd, out.data(), out.size());
-}
-
-bool read_responses_budgeted(int fd, ResponseMap& out, FrameBudget& budget) {
-    std::uint64_t n = 0;
-    if (!read_u64(fd, n) || n > kSaneLimit || !budget.charge(n * sizeof(double))) return false;
-    for (std::uint64_t j = 0; j < n; ++j) {
-        std::string name;
-        double value = 0.0;
-        if (!read_string_budgeted(fd, name, budget)) return false;
-        if (!read_exact(fd, &value, sizeof value)) return false;
-        out.emplace(std::move(name), value);
-    }
-    return true;
-}
-
-void append_responses(std::vector<unsigned char>& out, const ResponseMap& responses) {
-    append_u64(out, responses.size());
-    for (const auto& [name, value] : responses) {
-        append_u64(out, name.size());
-        append_bytes(out, name.data(), name.size());
-        append_bytes(out, &value, sizeof value);
-    }
-}
-
-bool read_error_message(int fd, std::string& message) {
-    std::uint64_t len = 0;
-    if (!read_u64(fd, len) || len > kSaneLimit) return false;
-    message.assign(static_cast<std::size_t>(len), '\0');
-    return read_exact(fd, message.data(), message.size());
-}
-
-}  // namespace
-
-bool write_store_hello(int fd, std::uint32_t version) {
-    return write_all(fd, kStoreMagic, sizeof kStoreMagic) &&
-           write_all(fd, &version, sizeof version);
-}
-
-bool read_store_hello_body(int fd, std::uint32_t& version) {
-    return read_exact(fd, &version, sizeof version);
-}
-
-bool read_store_opcode(int fd, std::uint64_t& opcode) { return read_u64(fd, opcode); }
-
-bool write_store_get_request(int fd, const std::vector<std::string>& keys,
-                             std::vector<unsigned char>& scratch) {
-    scratch.clear();
-    append_u64(scratch, kStoreOpGet);
-    append_u64(scratch, keys.size());
-    for (const std::string& key : keys) {
-        append_u64(scratch, key.size());
-        append_bytes(scratch, key.data(), key.size());
-    }
-    return write_all(fd, scratch.data(), scratch.size());
-}
-
-bool read_store_get_request_body(int fd, std::vector<std::string>& keys) {
-    keys.clear();
-    FrameBudget budget;
+bool decode_batch_result(ByteView body, std::size_t expected, std::vector<EvalResult>& results) {
+    Reader r(body);
     std::uint64_t count = 0;
-    if (!read_u64(fd, count) || count == 0 || count > kSaneLimit) return false;
-    keys.reserve(static_cast<std::size_t>(count) < 4096 ? static_cast<std::size_t>(count)
-                                                        : 4096);
-    for (std::uint64_t i = 0; i < count; ++i) {
-        std::string key;
-        if (!read_string_budgeted(fd, key, budget)) return false;
-        keys.push_back(std::move(key));
+    if (!r.count(count, 2 * sizeof(std::uint64_t)) || count != expected) return false;
+    results.resize(static_cast<std::size_t>(count));
+    for (EvalResult& result : results) {
+        if (!decode_result(r, result)) return false;
     }
-    return true;
+    return r.done();
 }
 
-bool write_store_get_reply(int fd, const std::vector<StoreLookup>& lookups,
-                           std::vector<unsigned char>& scratch) {
-    scratch.clear();
-    append_u64(scratch, kStatusOk);
-    append_u64(scratch, lookups.size());
-    for (const StoreLookup& l : lookups) {
-        append_u64(scratch, l.found ? 1 : 0);
-        if (l.found) append_responses(scratch, l.responses);
-    }
-    return write_all(fd, scratch.data(), scratch.size());
+void encode_store_get(std::vector<unsigned char>& out, const std::vector<std::string>& keys) {
+    encode_frame(out, FrameKind::StoreGet, [&](Writer& w) {
+        w.u64(keys.size());
+        for (const std::string& key : keys) w.str(key);
+    });
 }
 
-bool read_store_get_reply(int fd, std::size_t expected, std::vector<StoreLookup>& lookups) {
-    lookups.clear();
-    FrameBudget budget;
-    std::uint64_t status = kStatusError;
-    if (!read_u64(fd, status) || status != kStatusOk) return false;
+bool decode_store_get(ByteView body, std::vector<std::string>& keys) {
+    Reader r(body);
     std::uint64_t count = 0;
-    if (!read_u64(fd, count) || count != expected) return false;
+    if (!r.count(count, sizeof(std::uint64_t)) || count == 0) return false;
+    keys.resize(static_cast<std::size_t>(count));
+    for (std::string& key : keys) {
+        if (!r.str(key)) return false;
+    }
+    return r.done();
+}
+
+void encode_store_put(std::vector<unsigned char>& out, const std::vector<StoreEntry>& entries) {
+    encode_frame(out, FrameKind::StorePut, [&](Writer& w) {
+        w.u64(entries.size());
+        for (const StoreEntry& e : entries) {
+            w.str(e.key);
+            w.responses(e.responses);
+        }
+    });
+}
+
+bool decode_store_put(ByteView body, std::vector<StoreEntry>& entries) {
+    Reader r(body);
+    std::uint64_t count = 0;
+    if (!r.count(count, 2 * sizeof(std::uint64_t)) || count == 0) return false;
+    entries.resize(static_cast<std::size_t>(count));
+    for (StoreEntry& e : entries) {
+        if (!r.str(e.key) || !r.responses(e.responses)) return false;
+    }
+    return r.done();
+}
+
+void encode_store_get_reply(std::vector<unsigned char>& out,
+                            const std::vector<StoreLookup>& lookups) {
+    encode_frame(out, FrameKind::StoreGetReply, [&](Writer& w) {
+        w.u64(lookups.size());
+        for (const StoreLookup& l : lookups) {
+            w.u64(l.found ? 1 : 0);
+            if (l.found) w.responses(l.responses);
+        }
+    });
+}
+
+bool decode_store_get_reply(ByteView body, std::size_t expected,
+                            std::vector<StoreLookup>& lookups) {
+    Reader r(body);
+    std::uint64_t count = 0;
+    if (!r.count(count, sizeof(std::uint64_t)) || count != expected) return false;
     lookups.resize(static_cast<std::size_t>(count));
     for (StoreLookup& l : lookups) {
         std::uint64_t found = 0;
-        if (!read_u64(fd, found) || found > 1) return false;
+        if (!r.u64(found) || found > 1) return false;
         l.found = found != 0;
-        if (l.found && !read_responses_budgeted(fd, l.responses, budget)) return false;
+        l.responses.clear();
+        if (l.found && !r.responses(l.responses)) return false;
     }
-    return true;
+    return r.done();
 }
 
-bool write_store_put_request(int fd, const std::vector<StoreEntry>& entries,
-                             std::vector<unsigned char>& scratch) {
-    scratch.clear();
-    append_u64(scratch, kStoreOpPut);
-    append_u64(scratch, entries.size());
-    for (const StoreEntry& e : entries) {
-        append_u64(scratch, e.key.size());
-        append_bytes(scratch, e.key.data(), e.key.size());
-        append_responses(scratch, e.responses);
-    }
-    return write_all(fd, scratch.data(), scratch.size());
+void encode_store_put_reply(std::vector<unsigned char>& out, std::uint64_t appended) {
+    encode_frame(out, FrameKind::StorePutReply, [&](Writer& w) { w.u64(appended); });
 }
 
-bool read_store_put_request_body(int fd, std::vector<StoreEntry>& entries) {
-    entries.clear();
-    FrameBudget budget;
-    std::uint64_t count = 0;
-    if (!read_u64(fd, count) || count == 0 || count > kSaneLimit) return false;
-    for (std::uint64_t i = 0; i < count; ++i) {
-        StoreEntry entry;
-        if (!read_string_budgeted(fd, entry.key, budget)) return false;
-        if (!read_responses_budgeted(fd, entry.responses, budget)) return false;
-        entries.push_back(std::move(entry));
-    }
-    return true;
+bool decode_store_put_reply(ByteView body, std::uint64_t& appended) {
+    Reader r(body);
+    return r.u64(appended) && r.done();
 }
 
-bool write_store_put_reply(int fd, std::uint64_t status, std::uint64_t appended,
-                           const std::string& message) {
-    std::vector<unsigned char> scratch;
-    append_u64(scratch, status);
-    if (status == kStatusOk) {
-        append_u64(scratch, appended);
-    } else {
-        append_u64(scratch, message.size());
-        append_bytes(scratch, message.data(), message.size());
-    }
-    return write_all(fd, scratch.data(), scratch.size());
+void encode_store_stats_request(std::vector<unsigned char>& out) {
+    encode_frame(out, FrameKind::StoreStats, [](Writer&) {});
 }
 
-bool read_store_put_reply(int fd, std::uint64_t& status, std::uint64_t& appended,
-                          std::string& message) {
-    message.clear();
-    appended = 0;
-    if (!read_u64(fd, status)) return false;
-    if (status == kStatusOk) return read_u64(fd, appended);
-    return read_error_message(fd, message);
+void encode_store_stats_reply(std::vector<unsigned char>& out, const StoreStats& stats) {
+    encode_frame(out, FrameKind::StoreStatsReply, [&](Writer& w) {
+        w.u64(stats.keys);
+        w.u64(stats.segments);
+        w.u64(stats.quarantined_segments);
+        w.u64(stats.gets_served);
+        w.u64(stats.get_hits);
+        w.u64(stats.puts_received);
+        w.u64(stats.records_appended);
+        w.u64(stats.connections_accepted);
+        w.f64(stats.uptime_seconds);
+        write_ring(w, stats.metrics);
+    });
 }
 
-bool write_store_stats_request(int fd) { return write_u64(fd, kStoreOpStats); }
-
-bool write_store_stats_reply(int fd, std::uint64_t status, const StoreStats& stats,
-                             const std::string& message, std::uint32_t version) {
-    std::vector<unsigned char> scratch;
-    append_u64(scratch, status);
-    if (status == kStatusOk) {
-        append_u64(scratch, stats.keys);
-        append_u64(scratch, stats.segments);
-        append_u64(scratch, stats.quarantined_segments);
-        append_u64(scratch, stats.gets_served);
-        append_u64(scratch, stats.get_hits);
-        append_u64(scratch, stats.puts_received);
-        append_u64(scratch, stats.records_appended);
-        append_u64(scratch, stats.connections_accepted);
-        append_bytes(scratch, &stats.uptime_seconds, sizeof stats.uptime_seconds);
-        if (version >= 7) append_metrics_ring(scratch, stats.metrics);
-    } else {
-        append_u64(scratch, message.size());
-        append_bytes(scratch, message.data(), message.size());
-    }
-    return write_all(fd, scratch.data(), scratch.size());
-}
-
-bool read_store_stats_reply(int fd, std::uint64_t& status, StoreStats& stats,
-                            std::string& message, std::uint32_t version) {
-    message.clear();
+bool decode_store_stats_reply(ByteView body, StoreStats& stats) {
     stats = StoreStats{};
-    if (!read_u64(fd, status)) return false;
-    if (status != kStatusOk) return read_error_message(fd, message);
-    if (!(read_u64(fd, stats.keys) && read_u64(fd, stats.segments) &&
-          read_u64(fd, stats.quarantined_segments) && read_u64(fd, stats.gets_served) &&
-          read_u64(fd, stats.get_hits) && read_u64(fd, stats.puts_received) &&
-          read_u64(fd, stats.records_appended) &&
-          read_u64(fd, stats.connections_accepted) &&
-          read_exact(fd, &stats.uptime_seconds, sizeof stats.uptime_seconds)))
-        return false;
-    if (version < 7) return true;
-    return read_metrics_ring(fd, stats.metrics);
+    Reader r(body);
+    return r.u64(stats.keys) && r.u64(stats.segments) && r.u64(stats.quarantined_segments) &&
+           r.u64(stats.gets_served) && r.u64(stats.get_hits) && r.u64(stats.puts_received) &&
+           r.u64(stats.records_appended) && r.u64(stats.connections_accepted) &&
+           r.f64(stats.uptime_seconds) && read_ring(r, stats.metrics) && r.done();
 }
 
 // ---------------------------------------------------------------------------
-// Worker loop
+// Pipe workers
 // ---------------------------------------------------------------------------
 
 [[noreturn]] void eval_worker_loop(int fd, const Simulation& sim, std::size_t replicates) {
+    std::vector<unsigned char> buf;
+    std::vector<Vector> points;
+    std::vector<EvalResult> results;
     for (;;) {
-        Vector point;
-        if (!read_request(fd, point)) ::_exit(0);  // parent closed: clean shutdown
+        FrameKind kind{};
+        if (!read_frame(fd, kind, buf)) ::_exit(0);  // parent closed: clean shutdown
+        if (kind != FrameKind::BatchRequest || !decode_batch_request(buf, points)) ::_exit(2);
 
-        EvalResult result;
-        try {
-            result.responses = core::simulate_replicated(sim, point, replicates);
-            result.ok = true;
-        } catch (const std::exception& e) {
-            result.error = e.what();
-        } catch (...) {
-            result.error = "unknown exception in worker simulation";
+        results.assign(points.size(), EvalResult{});
+        for (std::size_t i = 0; i < points.size(); ++i) {
+            try {
+                results[i].responses = core::simulate_replicated(sim, points[i], replicates);
+                results[i].ok = true;
+            } catch (const std::exception& e) {
+                results[i].error = e.what();
+            } catch (...) {
+                results[i].error = "unknown exception in worker simulation";
+            }
         }
-
-        if (!write_result(fd, result)) ::_exit(2);  // parent vanished mid-frame
+        buf.clear();
+        try {
+            encode_batch_result(buf, results);
+        } catch (const std::length_error&) {
+            ::_exit(2);  // an unencodable result: the parent sees a dead worker
+        }
+        if (!write_all(fd, buf)) ::_exit(2);  // parent vanished mid-frame
     }
+}
+
+bool pipe_evaluate(int fd, const Vector& point, EvalResult& result,
+                   std::vector<unsigned char>& scratch) {
+    scratch.clear();
+    try {
+        encode_frame(scratch, FrameKind::BatchRequest, [&](Writer& w) {
+            w.u64(1);
+            w.u64(point.size());
+            w.bytes(point.data(), point.size() * sizeof(double));
+        });
+    } catch (const std::length_error& e) {
+        result = EvalResult{};  // the worker never saw the point and lives on
+        result.error = e.what();
+        return true;
+    }
+    FrameKind kind{};
+    std::vector<EvalResult> results;
+    if (!write_all(fd, scratch) || !read_frame(fd, kind, scratch) ||
+        kind != FrameKind::BatchResult || !decode_batch_result(scratch, 1, results))
+        return false;
+    result = std::move(results.front());
+    return true;
 }
 
 ForkedWorker fork_eval_worker(const Simulation& sim, std::size_t replicates) {

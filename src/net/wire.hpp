@@ -1,75 +1,71 @@
 // ehdoe/net/wire.hpp
 //
-// The evaluation wire protocol: one length-prefixed binary frame codec
-// shared by every process boundary the toolkit crosses —
+// The evaluation wire protocol: one frame codec shared by every process
+// boundary the toolkit crosses —
 //
 //  * core::SubprocessBackend's forked worker pipes (AF_UNIX socketpair),
 //  * net::EvalServer's forked worker pipes, and
-//  * the TCP connections between net::RemoteBackend and net::EvalServer.
+//  * the TCP connections of net::RemoteBackend, the farm monitors and
+//    store::StoreClient.
 //
-// Frames (host-endian, binary):
+// Every message on every transport is one frame:
 //
-//   request   := u64 dim, dim x f64                  (client -> evaluator)
-//   response  := u64 status                          (evaluator -> client)
-//                status 0: u64 n, n x { u64 name_len, bytes, f64 value }
-//                status 1: u64 msg_len, bytes        (simulation failed)
+//   frame := u32 kind, u64 body_len, body_len bytes of body
 //
-// Protocol v4 adds multi-point batch frames: one request frame carries a
-// shard's whole sub-batch and one result frame carries all its responses,
-// so the per-point framing overhead (a syscall pair and a network
-// round-trip per point) collapses to one per sub-batch. Both sides
-// scatter/gather through reused scratch buffers — encode builds the whole
-// frame in one contiguous buffer and writes it with a single send.
+// A reader checks body_len against kMaxFrameBody before it allocates
+// anything; that is the only size budget the protocol needs. A blocking
+// reader does two reads per frame (header, then body into a reused buffer);
+// EvalServer decodes whole frames straight out of its epoll buffers. Bodies
+// are host-endian fields read through core/codec.hpp's bounds-checked
+// Reader, with str := u64 len, bytes and responses := u64 n, n x { str
+// name, f64 value }:
 //
-//   batch request := u64 count, u64 dim, count*dim x f64   (points, row-major)
-//   batch result  := u64 count, count x response-body      (request order)
+//   Hello           u32 version, str fingerprint, u64 replicates
+//   StatsRequest    u32 version
+//   StoreHello      u32 version
+//   Welcome         u64 server_now_us — the server's monotonic telemetry
+//                   clock sampled at encode time, the anchor ehdoe-trace
+//                   uses to merge client and server traces
+//   Error           str message — a refusal or a failure; the sender closes
+//                   the connection after it
+//   StatsReply      u64 points_served, points_failed, handshakes_rejected,
+//                   worker_respawns, points_timed_out, in_flight,
+//                   connections_accepted, f64 uptime_seconds,
+//                   u64 n, n x { u64 bucket_index, u64 count },
+//                   f64 p50_us, p95_us, p99_us, ring
+//   BatchRequest    u64 count, u64 dim, count*dim x f64 (points, row-major)
+//   BatchResult     u64 count, count x result (request order), where
+//                   result := u64 status; 0: responses; 1: str error
+//   StoreGet        u64 count, count x str key
+//   StorePut        u64 count, count x { str key, responses }
+//   StoreStats      (empty)
+//   StoreGetReply   u64 count, count x { u64 found, found: responses }
+//   StorePutReply   u64 appended (records newly written; a duplicate key
+//                   with bitwise-identical responses is acknowledged
+//                   without re-appending)
+//   StoreStatsReply u64 keys, segments, quarantined_segments, gets_served,
+//                   get_hits, puts_received, records_appended,
+//                   connections_accepted, f64 uptime_seconds, ring
 //
-// Which shapes a TCP connection speaks is fixed by the handshake: a
-// server accepts any hello version in [kMinProtocolVersion,
-// kProtocolVersion] and serves that connection at the client's version, so
-// v4 peers interoperate with v5 servers (and a v5 client downgrades to a
-// v4-only server by re-dialing at the version the rejection message
-// names).
+//   ring := u64 interval_us, u64 first_seq, u64 n_series, n_series x str,
+//           u64 n_rows, n_rows x { u64 t_us, n_series x f64 }
+//           (core/metrics.hpp snapshots, oldest first; empty when the
+//           server samples no metrics)
 //
-// TCP connections additionally start with a handshake so mismatched peers
-// are rejected cleanly instead of exchanging garbage frames:
-//
-//   hello     := 6-byte magic "EHDOEN", u32 protocol version,
-//                u64 fp_len, bytes (simulation fingerprint),
-//                u64 replicates                      (client -> server)
-//   welcome   := u64 status; status != 0: u64 msg_len, bytes
-//                v5, status 0: u64 server_now_us — a sample of the
-//                server's monotonic telemetry clock taken while encoding
-//                the welcome, the clock-offset anchor ehdoe-trace uses to
-//                merge client and server trace files onto one timeline
-//
-// A second connection kind serves farm monitoring *outside* the FIFO eval
-// path: a peer that opens with the stats magic gets one stats reply and the
-// connection closes — no handshake, no eval frames, no interleaving with
-// pipelined evaluation connections. The reply takes the shape of the
-// *requested* version, so a v4 monitor keeps parsing a v5 server:
-//
-//   stats req := 6-byte magic "EHDOES", u32 protocol version
-//   stats rep := u64 status
-//                status 0: u32 version, u64 points_served, u64 points_failed,
-//                          u64 handshakes_rejected, u64 worker_respawns,
-//                          u64 points_timed_out, u64 in_flight,
-//                          u64 connections_accepted, f64 uptime_seconds
-//                v5, status 0 continues with the server's eval-latency
-//                histogram (core/telemetry.hpp log buckets, microseconds):
-//                          u64 n, n x { u64 bucket_index, u64 count },
-//                          f64 p50_us, f64 p95_us, f64 p99_us
-//                v7, status 0 continues with the server's metrics ring
-//                (core/metrics.hpp periodic snapshots, oldest first):
-//                          u64 interval_us, u64 first_seq,
-//                          u64 n_series, n_series x { u64 name_len, bytes },
-//                          u64 n_rows, n_rows x { u64 t_us, n_series x f64 }
-//                status != 0: u64 msg_len, bytes     (e.g. version mismatch)
+// A TCP connection's first frame picks its kind: Hello opens an eval
+// connection (Welcome, then pipelined BatchRequest/BatchResult pairs in
+// FIFO order), StatsRequest gets one StatsReply and the connection closes,
+// StoreHello opens a store connection (Welcome, then StoreGet/StorePut/
+// StoreStats requests answered in order). Any other first frame is an alien
+// peer and is dropped without a reply. The opening frame's version must be
+// exactly kProtocolVersion: the client and the daemons are built from the
+// same tree, so there is no negotiation and no downgrade — any other
+// version is answered with an Error frame naming both versions.
 //
 // Forked pipe workers skip the handshake — fork() guarantees both ends run
-// the same binary with the same closure. Closing the client side of any
-// transport is the shutdown signal; eval_worker_loop() _exits cleanly on
-// EOF.
+// the same binary with the same closure — and speak BatchRequest/
+// BatchResult frames of one point. Closing the client side of any transport
+// is the shutdown signal; eval_worker_loop() _exits cleanly on EOF.
 //
 // Determinism note: values travel as raw f64 bits, so a response is bitwise
 // identical no matter which process or host (same binary, same libm)
@@ -82,6 +78,7 @@
 #include <string>
 #include <vector>
 
+#include "core/codec.hpp"
 #include "core/eval_backend.hpp"
 #include "core/metrics.hpp"
 
@@ -89,123 +86,89 @@ namespace ehdoe::net {
 
 using core::ResponseMap;
 using core::Simulation;
+using core::codec::ByteView;
 using num::Vector;
 
 // ---------------------------------------------------------------------------
 // Protocol constants
 // ---------------------------------------------------------------------------
 
-/// v2: the stats connection kind ("EHDOES") joined the protocol.
-/// v3: the stats reply grew points_timed_out + in_flight (exec-based
-///     external simulators joined the farm; load/occupancy is display-only
-///     and stays outside the determinism contract).
-/// v4: multi-point batch frames — one request frame per sub-batch, one
-///     result frame with all its responses (the wire hot-path overhaul).
-/// v5: observability — the OK welcome carries a server clock sample (trace
-///     merging), the stats reply carries the server's eval-latency
-///     histogram + p50/p95/p99. Eval framing is unchanged from v4.
-/// v6: the store connection kind ("EHDOER") joined the protocol — the
-///     shared result store's get-batch/put-batch/stats frames. Eval and
-///     stats framing are unchanged from v5.
-/// v7: the health plane — eval and store stats replies carry the server's
-///     metrics ring (core/metrics.hpp: recent periodic snapshots of its
-///     counter/gauge series), pre-allocation-validated like the v5
-///     histogram payload. Eval, handshake and store data framing are
-///     unchanged from v6.
-inline constexpr std::uint32_t kProtocolVersion = 7;
-/// Oldest hello version a server still accepts; such a connection is
-/// served with that version's reply shapes (v4 = no welcome clock sample,
-/// no stats histogram), so a fleet can roll the protocol forward one
-/// version at a time. v3 single-point framing completed its deprecation
-/// cycle and is no longer served.
-inline constexpr std::uint32_t kMinProtocolVersion = 4;
-/// Oldest hello version a *store* server accepts: the store connection
-/// kind did not exist before v6, so store peers cannot downgrade below it.
-inline constexpr std::uint32_t kStoreMinProtocolVersion = 6;
-inline constexpr char kHandshakeMagic[6] = {'E', 'H', 'D', 'O', 'E', 'N'};
-inline constexpr char kStatsMagic[6] = {'E', 'H', 'D', 'O', 'E', 'S'};
-inline constexpr char kStoreMagic[6] = {'E', 'H', 'D', 'O', 'E', 'R'};
+/// The one protocol version. v8 put every message into a length-prefixed
+/// frame; both ends of a connection must speak exactly this version.
+inline constexpr std::uint32_t kProtocolVersion = 8;
 
+/// The cap on any frame body, checked before allocation.
+inline constexpr std::uint64_t kMaxFrameBody = core::codec::kMaxBody;
+inline constexpr std::size_t kFrameHeaderBytes = sizeof(std::uint32_t) + sizeof(std::uint64_t);
+
+enum class FrameKind : std::uint32_t {
+    Hello = 1,
+    StatsRequest = 2,
+    StoreHello = 3,
+    Welcome = 4,
+    Error = 5,
+    StatsReply = 6,
+    BatchRequest = 7,
+    BatchResult = 8,
+    StoreGet = 9,
+    StorePut = 10,
+    StoreStats = 11,
+    StoreGetReply = 12,
+    StorePutReply = 13,
+    StoreStatsReply = 14,
+};
+
+/// Per-point status inside a BatchResult.
 inline constexpr std::uint64_t kStatusOk = 0;
 inline constexpr std::uint64_t kStatusError = 1;
 
-/// Upper bound on any length field read off a transport; larger values mean
-/// a corrupt or hostile peer and fail the frame before any allocation.
-inline constexpr std::uint64_t kSaneLimit = 1u << 24;
-
 /// Upper bound on the stats-reply histogram: bucket count and every bucket
 /// index must stay below this (the telemetry histogram has 976 buckets; a
-/// frame claiming more is corrupt and fails before any allocation).
+/// frame claiming more is corrupt).
 inline constexpr std::uint64_t kMaxHistogramBuckets = 1024;
 
-/// Caps on the v7 metrics-ring payload, each validated before any
-/// allocation (the v5 histogram discipline): a server samples a handful of
-/// series into a ring of at most ~120 rows, so a frame claiming more is
-/// corrupt, not large.
+/// Caps on the metrics ring: a server samples a handful of series into a
+/// ring of at most ~120 rows, so a frame claiming more is corrupt, not
+/// large.
 inline constexpr std::uint64_t kMaxMetricSeries = 64;
 inline constexpr std::uint64_t kMaxMetricNameLen = 256;
 inline constexpr std::uint64_t kMaxMetricSamples = 1024;
 
+/// The refusal every server sends an opening frame at another version.
+std::string version_mismatch_message(std::uint32_t client_version);
+
 // ---------------------------------------------------------------------------
-// Low-level I/O: loop until the full buffer moved; false on EOF/hard error.
-// recv/send with MSG_NOSIGNAL so a dead peer surfaces as an error, never as
-// SIGPIPE. Works on any SOCK_STREAM fd (socketpair and TCP alike).
+// Blocking I/O. recv/send loop until the full buffer moved (false on EOF or
+// a hard error), with MSG_NOSIGNAL so a dead peer surfaces as an error,
+// never as SIGPIPE. Works on any SOCK_STREAM fd (socketpair and TCP alike).
 // ---------------------------------------------------------------------------
 
 bool read_exact(int fd, void* buf, std::size_t len);
 bool write_all(int fd, const void* buf, std::size_t len);
-bool read_u64(int fd, std::uint64_t& v);
-bool write_u64(int fd, std::uint64_t v);
+inline bool write_all(int fd, const std::vector<unsigned char>& bytes) {
+    return write_all(fd, bytes.data(), bytes.size());
+}
+
+/// Split a frame header (kFrameHeaderBytes at `p`).
+void decode_frame_header(const unsigned char* p, FrameKind& kind, std::uint64_t& body_len);
+
+/// Read one whole frame: the header, then the body into `body` (storage
+/// reused). False on EOF, a transport error, or a body_len over the cap.
+bool read_frame(int fd, FrameKind& kind, std::vector<unsigned char>& body);
+
+/// Read the answer to a request: true with the body of a `want` frame in
+/// `body`. False otherwise, with the peer's message in `refusal` when it
+/// answered an Error frame, and `refusal` empty when the connection dropped
+/// or carried anything else.
+bool read_reply(int fd, FrameKind want, std::vector<unsigned char>& body,
+                std::string& refusal);
 
 // ---------------------------------------------------------------------------
-// Evaluation frames
-// ---------------------------------------------------------------------------
-
-/// One decoded evaluator response: a result or a simulation error message.
-struct EvalResult {
-    bool ok = false;
-    ResponseMap responses;
-    std::string error;
-};
-
-bool write_request(int fd, const Vector& natural);
-/// False on EOF (clean shutdown) and on any broken frame.
-bool read_request(int fd, Vector& natural);
-
-bool write_result(int fd, const EvalResult& result);
-bool read_result(int fd, EvalResult& result);
-
-// ---------------------------------------------------------------------------
-// Batch frames (protocol v4). Encoders append to a caller-owned buffer so
-// hot paths reuse one allocation across batches; the write_* wrappers clear
-// the scratch, encode, and push the whole frame with a single send.
-// ---------------------------------------------------------------------------
-
-/// Append one batch request frame carrying points[indices[0..k)] (all of
-/// one dimension) to `out`.
-void encode_batch_request(std::vector<unsigned char>& out, const std::vector<Vector>& points,
-                          const std::vector<std::size_t>& indices);
-bool write_batch_request(int fd, const std::vector<Vector>& points,
-                         const std::vector<std::size_t>& indices,
-                         std::vector<unsigned char>& scratch);
-/// Blocking decode of one whole batch request (tests and simple servers;
-/// EvalServer parses the same layout incrementally off its epoll buffers).
-bool read_batch_request(int fd, std::vector<Vector>& points);
-
-/// Append one response body (the bytes after a v3 status would travel
-/// identically) to `out`; batch results are `u64 count` + count bodies.
-void encode_result(std::vector<unsigned char>& out, const EvalResult& result);
-void encode_batch_result(std::vector<unsigned char>& out,
-                         const std::vector<EvalResult>& results);
-bool write_batch_result(int fd, const std::vector<EvalResult>& results,
-                        std::vector<unsigned char>& scratch);
-/// Read one batch result frame into `results` (storage reused). The caller
-/// knows how many responses its request frame is owed; a frame whose count
-/// differs is a broken peer and fails the read before any decode.
-bool read_batch_result(int fd, std::size_t expected, std::vector<EvalResult>& results);
-
-// ---------------------------------------------------------------------------
-// Handshake frames (TCP only)
+// Messages. Every encode_* appends one whole frame to `out`, so hot paths
+// reuse one buffer and send a frame with a single write; each throws
+// std::length_error rather than encode a body over kMaxFrameBody. Every
+// decode_* parses one frame body and returns false on anything malformed,
+// including trailing bytes.
 // ---------------------------------------------------------------------------
 
 struct Hello {
@@ -214,46 +177,17 @@ struct Hello {
     std::uint64_t replicates = 1;
 };
 
-bool write_hello(int fd, const Hello& hello);
-bool read_hello(int fd, Hello& hello);
-
-/// status kStatusOk accepts; anything else carries a rejection message.
-/// `version` is the connection's negotiated version: from v5 on, an OK
-/// welcome carries `server_now_us` — the server's monotonic telemetry
-/// clock sampled at encode time (the trace-merge clock anchor). Readers at
-/// v5 receive it through `server_now_us` when non-null.
-bool write_welcome(int fd, std::uint64_t status, const std::string& message,
-                   std::uint32_t version = kMinProtocolVersion,
-                   std::uint64_t server_now_us = 0);
-bool read_welcome(int fd, std::uint64_t& status, std::string& message,
-                  std::uint32_t version = kMinProtocolVersion,
-                  std::uint64_t* server_now_us = nullptr);
-/// Buffer-encode form of write_welcome, for non-blocking writers.
-void encode_welcome(std::vector<unsigned char>& out, std::uint64_t status,
-                    const std::string& message,
-                    std::uint32_t version = kMinProtocolVersion,
-                    std::uint64_t server_now_us = 0);
-
-// ---------------------------------------------------------------------------
-// Connection-kind dispatch and the stats frame (TCP only). A server reads
-// the 6-byte opening magic once and branches: eval connections continue with
-// the hello body, stats connections with the stats-request body. Anything
-// else is a broken or alien peer.
-// ---------------------------------------------------------------------------
-
-enum class ConnectionKind { Eval, Stats, Store, Unknown };
-
-/// Consume the 6-byte opening magic and classify the connection. False when
-/// the peer vanished before sending a full magic.
-bool read_connection_magic(int fd, ConnectionKind& kind);
-/// The hello fields after the magic (read_hello = magic + body).
-bool read_hello_body(int fd, Hello& hello);
+/// One decoded evaluator response: a result or a simulation error message.
+struct EvalResult {
+    bool ok = false;
+    ResponseMap responses;
+    std::string error;
+};
 
 /// One shard's monitoring counters as carried by the stats reply.
 struct ShardStats {
-    std::uint32_t version = kProtocolVersion;  ///< server's protocol version
-    std::uint64_t points_served = 0;           ///< result frames answered
-    std::uint64_t points_failed = 0;           ///< error frames answered
+    std::uint64_t points_served = 0;  ///< result frames answered
+    std::uint64_t points_failed = 0;  ///< error frames answered
     std::uint64_t handshakes_rejected = 0;
     /// Crashed subprocess workers replaced / exec simulators relaunched.
     std::uint64_t worker_respawns = 0;
@@ -264,78 +198,21 @@ struct ShardStats {
     std::uint64_t in_flight = 0;
     std::uint64_t connections_accepted = 0;
     double uptime_seconds = 0.0;  ///< since the server start()ed
-    /// v5: the server's lifetime eval-latency histogram as sparse
+    /// The server's lifetime eval-latency histogram as sparse
     /// (bucket_index, count) pairs (core::telemetry::LatencyHistogram log
-    /// buckets, microseconds) plus exact-rank percentiles. Empty/zero when
-    /// the reply was requested at v4.
+    /// buckets, microseconds) plus exact-rank percentiles.
     std::vector<std::pair<std::uint64_t, std::uint64_t>> latency_buckets;
     double latency_p50_us = 0.0;
     double latency_p95_us = 0.0;
     double latency_p99_us = 0.0;
-    /// v7: the server's metrics ring — recent periodic snapshots of its
-    /// counter/gauge series (core/metrics.hpp). Empty when the reply was
-    /// requested below v7 or the server samples no metrics.
+    /// The server's metrics ring (core/metrics.hpp); empty when the server
+    /// samples no metrics.
     core::metrics::RingSnapshot metrics;
 };
 
-bool write_stats_request(int fd, std::uint32_t version = kProtocolVersion);
-/// The version field after the magic.
-bool read_stats_request_body(int fd, std::uint32_t& version);
-
-/// status kStatusOk carries `stats`; anything else carries a message. The
-/// reply's shape follows the *requested* version (`version`): from v5 on,
-/// an OK reply appends the latency histogram + percentiles. Reader and
-/// writer must pass the same version the request named.
-bool write_stats_reply(int fd, std::uint64_t status, const ShardStats& stats,
-                       const std::string& message,
-                       std::uint32_t version = kMinProtocolVersion);
-bool read_stats_reply(int fd, std::uint64_t& status, ShardStats& stats, std::string& message,
-                      std::uint32_t version = kMinProtocolVersion);
-/// Buffer-encode form of write_stats_reply, for non-blocking writers.
-void encode_stats_reply(std::vector<unsigned char>& out, std::uint64_t status,
-                        const ShardStats& stats, const std::string& message,
-                        std::uint32_t version = kMinProtocolVersion);
-
-// ---------------------------------------------------------------------------
-// Store frames (protocol v6, TCP only). A third connection kind serves the
-// farm-wide result store: a peer opening with the store magic speaks
-// opcode-framed get-batch/put-batch/stats requests over one pipelined
-// connection (FIFO, like eval). Keys are opaque byte strings (in practice
-// the cache identity + hexfloat-exact point, see store/store_backend.hpp)
-// and values are response maps, reusing the v5 response-body codec:
-//
-//   store hello := 6-byte magic "EHDOER", u32 protocol version
-//   welcome     := (the eval welcome frame, version-shaped)
-//   request     := u64 opcode, opcode body:
-//     get (0)   := u64 count, count x { u64 key_len, bytes }
-//     put (1)   := u64 count, count x { u64 key_len, bytes,
-//                    u64 n, n x { u64 name_len, bytes, f64 value } }
-//     stats (2) := (empty body)
-//   reply       := u64 status; status != 0: u64 msg_len, bytes
-//     get, status 0 := u64 count, count x { u64 found,
-//                    found != 0: u64 n, n x { u64 name_len, bytes, f64 } }
-//     put, status 0 := u64 appended   (records newly written; a duplicate
-//                    key carrying bitwise-identical responses is
-//                    acknowledged without re-appending)
-//     stats, status 0 := u64 keys, u64 segments, u64 quarantined_segments,
-//                    u64 gets_served, u64 get_hits, u64 puts_received,
-//                    u64 records_appended, u64 connections_accepted,
-//                    f64 uptime_seconds
-//                    v7 continues with the store's metrics ring (the same
-//                    layout as the v7 eval stats reply); the shape follows
-//                    the connection's negotiated version.
-//
-// Every length field is checked against kSaneLimit before allocation, and
-// a whole get/put frame additionally runs against a cumulative kSaneLimit
-// byte budget, so a hostile count cannot multiply per-item limits into an
-// allocation bomb.
-// ---------------------------------------------------------------------------
-
-inline constexpr std::uint64_t kStoreOpGet = 0;
-inline constexpr std::uint64_t kStoreOpPut = 1;
-inline constexpr std::uint64_t kStoreOpStats = 2;
-
-/// One key → responses pair as carried by a put-batch frame.
+/// One key → responses pair as carried by a put-batch frame. Keys are
+/// opaque byte strings (in practice the cache identity + hexfloat-exact
+/// point, see store/store_backend.hpp).
 struct StoreEntry {
     std::string key;
     ResponseMap responses;
@@ -358,54 +235,76 @@ struct StoreStats {
     std::uint64_t records_appended = 0;      ///< entries newly appended
     std::uint64_t connections_accepted = 0;
     double uptime_seconds = 0.0;  ///< since the server start()ed
-    /// v7: the store's metrics ring (empty below v7 / sampling off).
+    /// The store's metrics ring (empty when sampling is off).
     core::metrics::RingSnapshot metrics;
 };
 
-bool write_store_hello(int fd, std::uint32_t version = kProtocolVersion);
-/// The version field after the magic (read_connection_magic consumed it).
-bool read_store_hello_body(int fd, std::uint32_t& version);
+/// The two opening frames whose body is the version alone. Only tests
+/// send a version other than kProtocolVersion.
+void encode_stats_request(std::vector<unsigned char>& out,
+                          std::uint32_t version = kProtocolVersion);
+void encode_store_hello(std::vector<unsigned char>& out, std::uint32_t version = kProtocolVersion);
+/// A StatsRequest or StoreHello body: the version and nothing else.
+bool decode_version(ByteView body, std::uint32_t& version);
+/// The version every opening frame's body starts with.
+bool decode_version_prefix(ByteView body, std::uint32_t& version);
 
-/// Request framing: every request starts with its opcode word.
-bool read_store_opcode(int fd, std::uint64_t& opcode);
+void encode_hello(std::vector<unsigned char>& out, const Hello& hello);
+bool decode_hello(ByteView body, Hello& hello);
 
-bool write_store_get_request(int fd, const std::vector<std::string>& keys,
-                             std::vector<unsigned char>& scratch);
-/// The keys after the opcode word; enforces the cumulative byte budget.
-bool read_store_get_request_body(int fd, std::vector<std::string>& keys);
-bool write_store_get_reply(int fd, const std::vector<StoreLookup>& lookups,
-                           std::vector<unsigned char>& scratch);
-/// The caller knows how many lookups its request is owed; a reply whose
-/// count differs is a broken peer and fails before any decode.
-bool read_store_get_reply(int fd, std::size_t expected, std::vector<StoreLookup>& lookups);
+void encode_welcome(std::vector<unsigned char>& out, std::uint64_t server_now_us);
+bool decode_welcome(ByteView body, std::uint64_t& server_now_us);
 
-bool write_store_put_request(int fd, const std::vector<StoreEntry>& entries,
-                             std::vector<unsigned char>& scratch);
-bool read_store_put_request_body(int fd, std::vector<StoreEntry>& entries);
-bool write_store_put_reply(int fd, std::uint64_t status, std::uint64_t appended,
-                           const std::string& message);
-bool read_store_put_reply(int fd, std::uint64_t& status, std::uint64_t& appended,
-                          std::string& message);
+void encode_error(std::vector<unsigned char>& out, const std::string& message);
+bool decode_error(ByteView body, std::string& message);
 
-bool write_store_stats_request(int fd);
-/// The reply's shape follows the store connection's negotiated `version`:
-/// from v7 on an OK reply appends the metrics ring. Reader and writer must
-/// pass the version the handshake agreed.
-bool write_store_stats_reply(int fd, std::uint64_t status, const StoreStats& stats,
-                             const std::string& message,
-                             std::uint32_t version = kStoreMinProtocolVersion);
-bool read_store_stats_reply(int fd, std::uint64_t& status, StoreStats& stats,
-                            std::string& message,
-                            std::uint32_t version = kStoreMinProtocolVersion);
+void encode_stats_reply(std::vector<unsigned char>& out, const ShardStats& stats);
+bool decode_stats_reply(ByteView body, ShardStats& stats);
+
+/// A BatchRequest carrying points[indices[0..k)] (all of one dimension).
+void encode_batch_request(std::vector<unsigned char>& out, const std::vector<Vector>& points,
+                          const std::vector<std::size_t>& indices);
+bool decode_batch_request(ByteView body, std::vector<Vector>& points);
+
+void encode_batch_result(std::vector<unsigned char>& out,
+                         const std::vector<EvalResult>& results);
+/// The caller knows how many responses its request frame is owed; a frame
+/// whose count differs is a broken peer.
+bool decode_batch_result(ByteView body, std::size_t expected, std::vector<EvalResult>& results);
+
+void encode_store_get(std::vector<unsigned char>& out, const std::vector<std::string>& keys);
+bool decode_store_get(ByteView body, std::vector<std::string>& keys);
+
+void encode_store_put(std::vector<unsigned char>& out, const std::vector<StoreEntry>& entries);
+bool decode_store_put(ByteView body, std::vector<StoreEntry>& entries);
+
+void encode_store_get_reply(std::vector<unsigned char>& out,
+                            const std::vector<StoreLookup>& lookups);
+bool decode_store_get_reply(ByteView body, std::size_t expected,
+                            std::vector<StoreLookup>& lookups);
+
+void encode_store_put_reply(std::vector<unsigned char>& out, std::uint64_t appended);
+bool decode_store_put_reply(ByteView body, std::uint64_t& appended);
+
+void encode_store_stats_request(std::vector<unsigned char>& out);
+void encode_store_stats_reply(std::vector<unsigned char>& out, const StoreStats& stats);
+bool decode_store_stats_reply(ByteView body, StoreStats& stats);
 
 // ---------------------------------------------------------------------------
-// The worker side of the protocol: serve request frames until EOF. Shared
-// by every forked pipe worker (SubprocessBackend and EvalServer). Never
-// returns; _exit(0) on clean shutdown, _exit(2) when the parent vanishes
-// mid-frame.
+// The worker side of the protocol: serve BatchRequest frames until EOF.
+// Shared by every forked pipe worker (SubprocessBackend and EvalServer).
+// Never returns; _exit(0) on clean shutdown, _exit(2) when the parent
+// vanishes mid-frame.
 // ---------------------------------------------------------------------------
 
 [[noreturn]] void eval_worker_loop(int fd, const Simulation& sim, std::size_t replicates);
+
+/// One synchronous round trip of `point` through a pipe worker's fd
+/// (`scratch` is reused across calls). False when the worker died or
+/// broke the frame; a point too large to frame is answered with an error
+/// result.
+bool pipe_evaluate(int fd, const Vector& point, EvalResult& result,
+                   std::vector<unsigned char>& scratch);
 
 /// Fork one pipe worker running eval_worker_loop over a fresh socketpair.
 /// Returns the parent side (already registered with the fork-hygiene

@@ -22,9 +22,6 @@ namespace {
 
 /// "EHRS" read as a little-endian u32 — EHdoe Result Store.
 constexpr std::uint32_t kRecordMagic = 0x53524845u;
-/// Upper bound on any length field parsed off disk (mirrors the wire
-/// codec's net::kSaneLimit): a larger value is damage, not data.
-constexpr std::uint64_t kSaneLen = 1u << 24;
 constexpr std::size_t kHeaderBytes = 2 * sizeof(std::uint32_t) + sizeof(std::uint64_t);
 
 std::string segment_name(std::size_t seq) {
@@ -52,64 +49,6 @@ bool parse_segment_seq(const std::string& name, std::size_t& seq) {
     return seq > 0;
 }
 
-void append_u64(std::vector<unsigned char>& out, std::uint64_t v) {
-    const auto* p = reinterpret_cast<const unsigned char*>(&v);
-    out.insert(out.end(), p, p + sizeof v);
-}
-
-void append_bytes(std::vector<unsigned char>& out, const void* data, std::size_t len) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    out.insert(out.end(), p, p + len);
-}
-
-void encode_body(std::vector<unsigned char>& out, const std::string& key,
-                 const core::ResponseMap& responses) {
-    out.clear();
-    append_u64(out, key.size());
-    append_bytes(out, key.data(), key.size());
-    append_u64(out, responses.size());
-    for (const auto& [name, value] : responses) {
-        append_u64(out, name.size());
-        append_bytes(out, name.data(), name.size());
-        append_bytes(out, &value, sizeof value);
-    }
-}
-
-/// Cursor-based body parse; false on any out-of-bounds or insane length
-/// (a CRC-clean body that fails this is still corruption — a frame from a
-/// different record layout, say).
-bool parse_body(const std::vector<char>& body, std::string& key,
-                core::ResponseMap& responses) {
-    std::size_t cur = 0;
-    const auto read_u64_at = [&](std::uint64_t& v) {
-        if (body.size() - cur < sizeof v) return false;
-        std::memcpy(&v, body.data() + cur, sizeof v);
-        cur += sizeof v;
-        return true;
-    };
-    const auto read_str_at = [&](std::string& s) {
-        std::uint64_t len = 0;
-        if (!read_u64_at(len) || len > kSaneLen || body.size() - cur < len) return false;
-        s.assign(body.data() + cur, static_cast<std::size_t>(len));
-        cur += static_cast<std::size_t>(len);
-        return true;
-    };
-    if (!read_str_at(key)) return false;
-    std::uint64_t n = 0;
-    if (!read_u64_at(n) || n > kSaneLen) return false;
-    responses.clear();
-    for (std::uint64_t j = 0; j < n; ++j) {
-        std::string name;
-        double value = 0.0;
-        if (!read_str_at(name)) return false;
-        if (body.size() - cur < sizeof value) return false;
-        std::memcpy(&value, body.data() + cur, sizeof value);
-        cur += sizeof value;
-        responses.emplace(std::move(name), value);
-    }
-    return cur == body.size();
-}
-
 enum class SegmentScan { Clean, Torn, Corrupt };
 
 /// Forward-scan one segment into `index`; `good_bytes` is the offset of
@@ -120,7 +59,7 @@ SegmentScan scan_segment(const fs::path& path,
     std::ifstream in(path, std::ios::binary);
     good_bytes = 0;
     if (!in) return SegmentScan::Corrupt;
-    std::vector<char> body;
+    std::vector<unsigned char> body;
     for (;;) {
         unsigned char header[kHeaderBytes];
         in.read(reinterpret_cast<char*>(header), sizeof header);
@@ -133,14 +72,17 @@ SegmentScan scan_segment(const fs::path& path,
         std::memcpy(&magic, header, sizeof magic);
         std::memcpy(&crc, header + sizeof magic, sizeof crc);
         std::memcpy(&len, header + sizeof magic + sizeof crc, sizeof len);
-        if (magic != kRecordMagic || len > kSaneLen) return SegmentScan::Corrupt;
+        // A length over the codec's cap is damage, not data.
+        if (magic != kRecordMagic || len > core::codec::kMaxBody) return SegmentScan::Corrupt;
         body.resize(static_cast<std::size_t>(len));
-        in.read(body.data(), static_cast<std::streamsize>(len));
+        in.read(reinterpret_cast<char*>(body.data()), static_cast<std::streamsize>(len));
         if (in.gcount() < static_cast<std::streamsize>(len)) return SegmentScan::Torn;
         if (crc32_ieee(body.data(), body.size()) != crc) return SegmentScan::Corrupt;
         std::string key;
         core::ResponseMap responses;
-        if (!parse_body(body, key, responses)) return SegmentScan::Corrupt;
+        // A CRC-clean body that fails to decode is still corruption (a
+        // record from a different layout, say).
+        if (!decode_record_body(body, key, responses)) return SegmentScan::Corrupt;
         index[std::move(key)] = std::move(responses);
         ++restored;
         good_bytes += sizeof header + static_cast<std::uintmax_t>(len);
@@ -167,6 +109,28 @@ void fsync_directory(const std::string& dir) {
 }
 
 }  // namespace
+
+void encode_record(std::vector<unsigned char>& out, const std::string& key,
+                   const core::ResponseMap& responses) {
+    const std::size_t start = out.size();
+    out.resize(start + kHeaderBytes);
+    core::codec::Writer w(out);
+    w.str(key);
+    w.responses(responses);
+    const unsigned char* body = out.data() + start + kHeaderBytes;
+    const std::uint64_t len = out.size() - start - kHeaderBytes;
+    const std::uint32_t crc = crc32_ieee(body, static_cast<std::size_t>(len));
+    unsigned char* header = out.data() + start;
+    std::memcpy(header, &kRecordMagic, sizeof kRecordMagic);
+    std::memcpy(header + sizeof kRecordMagic, &crc, sizeof crc);
+    std::memcpy(header + sizeof kRecordMagic + sizeof crc, &len, sizeof len);
+}
+
+bool decode_record_body(core::codec::ByteView body, std::string& key,
+                        core::ResponseMap& responses) {
+    core::codec::Reader r(body);
+    return r.str(key) && r.responses(responses) && r.done();
+}
 
 std::uint32_t crc32_ieee(const void* data, std::size_t len) {
     static const std::array<std::uint32_t, 256> table = [] {
@@ -325,26 +289,18 @@ bool SegmentLog::put(const std::string& key, const core::ResponseMap& responses)
 
 void SegmentLog::append_record_locked(const std::string& key,
                                       const core::ResponseMap& responses) {
-    std::vector<unsigned char> body;
-    encode_body(body, key, responses);
-    const std::size_t record_bytes = kHeaderBytes + body.size();
-    if (active_bytes_ > 0 && active_bytes_ + record_bytes > options_.max_segment_bytes) {
+    std::vector<unsigned char> record;
+    encode_record(record, key, responses);
+    if (active_bytes_ > 0 && active_bytes_ + record.size() > options_.max_segment_bytes) {
         std::fclose(active_);
         active_ = nullptr;
         open_active_locked(active_seq_ + 1, 0);
         ++live_segments_;
     }
-    const std::uint32_t crc = crc32_ieee(body.data(), body.size());
-    const std::uint64_t len = body.size();
-    unsigned char header[kHeaderBytes];
-    std::memcpy(header, &kRecordMagic, sizeof kRecordMagic);
-    std::memcpy(header + sizeof kRecordMagic, &crc, sizeof crc);
-    std::memcpy(header + sizeof kRecordMagic + sizeof crc, &len, sizeof len);
-    if (std::fwrite(header, 1, sizeof header, active_) != sizeof header ||
-        std::fwrite(body.data(), 1, body.size(), active_) != body.size() ||
+    if (std::fwrite(record.data(), 1, record.size(), active_) != record.size() ||
         std::fflush(active_) != 0)
         throw std::runtime_error("SegmentLog: append to " + active_path_ + " failed");
-    active_bytes_ += record_bytes;
+    active_bytes_ += record.size();
 }
 
 void SegmentLog::compact() {
@@ -358,17 +314,11 @@ void SegmentLog::compact() {
     {
         std::FILE* out = std::fopen(tmp.c_str(), "wb");
         if (!out) throw std::runtime_error("SegmentLog: cannot open " + tmp.string());
-        std::vector<unsigned char> body;
+        std::vector<unsigned char> record;
         for (const auto& [key, responses] : index_) {
-            encode_body(body, key, responses);
-            const std::uint32_t crc = crc32_ieee(body.data(), body.size());
-            const std::uint64_t len = body.size();
-            unsigned char header[kHeaderBytes];
-            std::memcpy(header, &kRecordMagic, sizeof kRecordMagic);
-            std::memcpy(header + sizeof kRecordMagic, &crc, sizeof crc);
-            std::memcpy(header + sizeof kRecordMagic + sizeof crc, &len, sizeof len);
-            if (std::fwrite(header, 1, sizeof header, out) != sizeof header ||
-                std::fwrite(body.data(), 1, body.size(), out) != body.size()) {
+            record.clear();
+            encode_record(record, key, responses);
+            if (std::fwrite(record.data(), 1, record.size(), out) != record.size()) {
                 std::fclose(out);
                 throw std::runtime_error("SegmentLog: compaction write failed");
             }

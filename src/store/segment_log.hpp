@@ -19,6 +19,9 @@
 //   body   := u64 key_len, key bytes,
 //             u64 n, n x { u64 name_len, bytes, f64 value }
 //
+// Bodies are written and read through core/codec.hpp, the codec the wire
+// frames use; a body_len over its cap is damage, not data.
+//
 // Recovery semantics, per segment in sequence order:
 //  * a clean scan loads every record into the index;
 //  * a torn tail (truncated header or body) on the *newest* segment is the
@@ -54,7 +57,9 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <vector>
 
+#include "core/codec.hpp"
 #include "core/eval_backend.hpp"
 
 namespace ehdoe::store {
@@ -127,5 +132,13 @@ class SegmentLog {
 /// CRC-32 (IEEE 802.3, reflected 0xEDB88320) over `len` bytes — the record
 /// framing checksum, exposed for tests that forge corrupt segments.
 std::uint32_t crc32_ieee(const void* data, std::size_t len);
+
+/// Append one whole record (header + body) to `out`.
+void encode_record(std::vector<unsigned char>& out, const std::string& key,
+                   const core::ResponseMap& responses);
+/// Decode one record body; false on anything malformed, trailing bytes
+/// included.
+bool decode_record_body(core::codec::ByteView body, std::string& key,
+                        core::ResponseMap& responses);
 
 }  // namespace ehdoe::store

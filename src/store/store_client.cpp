@@ -10,27 +10,11 @@
 #include <cstdlib>
 #include <stdexcept>
 
-#include "core/event_log.hpp"
-
 namespace ehdoe::store {
 
 using namespace ehdoe::net;
 
 namespace {
-
-/// Extract N from a "... server speaks N, ..." refusal — the negotiation
-/// hook an older store leaves in its version rejection (the eval client's
-/// parse, same needle).
-bool parse_server_speaks(const std::string& message, std::uint32_t& version) {
-    static const std::string kNeedle = "server speaks ";
-    const auto at = message.find(kNeedle);
-    if (at == std::string::npos) return false;
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(message.c_str() + at + kNeedle.size(), &end, 10);
-    if (end == message.c_str() + at + kNeedle.size() || v == 0) return false;
-    version = static_cast<std::uint32_t>(v);
-    return true;
-}
 
 /// Resolve + connect with bounded connect and I/O times (SO_SNDTIMEO
 /// covers connect() on Linux). Same shape as the eval client's dialer.
@@ -70,38 +54,18 @@ int connect_tcp(const std::string& host, std::uint16_t port, int timeout_seconds
 
 StoreClient::StoreClient(const std::string& host, std::uint16_t port, int timeout_seconds)
     : endpoint_(host + ":" + std::to_string(port)) {
-    // Lead with the newest protocol; when an older store names the version
-    // it speaks in its refusal, re-dial once at that version (mirrors the
-    // eval client's negotiation, so a mixed-version farm keeps its store).
-    std::uint32_t version = kProtocolVersion;
-    for (;;) {
-        fd_ = connect_tcp(host, port, timeout_seconds);
-        std::uint64_t status = kStatusError;
-        std::string message;
-        if (!write_store_hello(fd_, version) ||
-            !read_welcome(fd_, status, message, version)) {
-            ::close(fd_);
-            fd_ = -1;
-            throw std::runtime_error("store " + endpoint_ + ": handshake transport failure");
-        }
-        if (status == kStatusOk) break;
+    fd_ = connect_tcp(host, port, timeout_seconds);
+    std::string refusal;
+    std::uint64_t server_now_us = 0;
+    encode_store_hello(out_);
+    if (!write_all(fd_, out_) || !read_reply(fd_, FrameKind::Welcome, in_, refusal) ||
+        !decode_welcome(in_, server_now_us)) {
         ::close(fd_);
         fd_ = -1;
-        std::uint32_t server_version = 0;
-        if (parse_server_speaks(message, server_version) &&
-            server_version >= kStoreMinProtocolVersion && server_version < version) {
-            core::event_log::Event("version_downgrade")
-                .field("component", "store")
-                .field("endpoint", endpoint_)
-                .field("from", static_cast<std::uint64_t>(version))
-                .field("to", static_cast<std::uint64_t>(server_version));
-            version = server_version;
-            continue;
-        }
-        throw std::runtime_error("store " + endpoint_ + " refused the handshake: " +
-                                 message);
+        if (!refusal.empty())
+            throw std::runtime_error("store " + endpoint_ + " refused the handshake: " + refusal);
+        throw std::runtime_error("store " + endpoint_ + ": handshake transport failure");
     }
-    version_ = version;
     // The connection must never leak into forked pipe workers.
     register_parent_fd(fd_);
 }
@@ -113,37 +77,45 @@ StoreClient::~StoreClient() {
     }
 }
 
+bool StoreClient::round_trip(FrameKind reply, std::string& refusal) {
+    return write_all(fd_, out_) && read_reply(fd_, reply, in_, refusal);
+}
+
 std::vector<StoreLookup> StoreClient::get(const std::vector<std::string>& keys) {
     std::vector<StoreLookup> lookups;
     if (keys.empty()) return lookups;
-    if (!write_store_get_request(fd_, keys, scratch_) ||
-        !read_store_get_reply(fd_, keys.size(), lookups))
-        throw std::runtime_error("store " + endpoint_ + ": get-batch failed");
+    std::string refusal;
+    out_.clear();
+    encode_store_get(out_, keys);
+    if (!round_trip(FrameKind::StoreGetReply, refusal) ||
+        !decode_store_get_reply(in_, keys.size(), lookups))
+        throw std::runtime_error("store " + endpoint_ + ": get-batch failed" +
+                                 (refusal.empty() ? "" : ": " + refusal));
     return lookups;
 }
 
 std::uint64_t StoreClient::put(const std::vector<StoreEntry>& entries) {
     if (entries.empty()) return 0;
-    std::uint64_t status = kStatusError;
     std::uint64_t appended = 0;
-    std::string message;
-    if (!write_store_put_request(fd_, entries, scratch_) ||
-        !read_store_put_reply(fd_, status, appended, message))
-        throw std::runtime_error("store " + endpoint_ + ": put-batch failed");
-    if (status != kStatusOk)
-        throw std::runtime_error("store " + endpoint_ + " rejected put-batch: " + message);
-    return appended;
+    std::string refusal;
+    out_.clear();
+    encode_store_put(out_, entries);
+    if (round_trip(FrameKind::StorePutReply, refusal) && decode_store_put_reply(in_, appended))
+        return appended;
+    if (!refusal.empty())
+        throw std::runtime_error("store " + endpoint_ + " rejected put-batch: " + refusal);
+    throw std::runtime_error("store " + endpoint_ + ": put-batch failed");
 }
 
 StoreStats StoreClient::stats() {
     StoreStats stats;
-    std::uint64_t status = kStatusError;
-    std::string message;
-    if (!write_store_stats_request(fd_) ||
-        !read_store_stats_reply(fd_, status, stats, message, version_))
-        throw std::runtime_error("store " + endpoint_ + ": stats round-trip failed");
-    if (status != kStatusOk)
-        throw std::runtime_error("store " + endpoint_ + " rejected stats: " + message);
+    std::string refusal;
+    out_.clear();
+    encode_store_stats_request(out_);
+    if (!round_trip(FrameKind::StoreStatsReply, refusal) ||
+        !decode_store_stats_reply(in_, stats))
+        throw std::runtime_error("store " + endpoint_ + ": stats round-trip failed" +
+                                 (refusal.empty() ? "" : ": " + refusal));
     return stats;
 }
 

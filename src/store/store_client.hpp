@@ -1,7 +1,9 @@
 // ehdoe/store/store_client.hpp
 //
-// Blocking client for one store connection: connect + store hello on
-// construction, then get/put/stats round-trips until destruction. All I/O
+// Blocking client for one store connection: connect + StoreHello on
+// construction, then get/put/stats round-trips until destruction — one
+// request frame out, one reply frame (header, then body) in, through two
+// reused buffers. All I/O
 // is time-bounded (SO_RCVTIMEO/SO_SNDTIMEO), so a wedged store degrades in
 // seconds, not the kernel's TCP patience. Every method throws
 // std::runtime_error on transport or protocol failure — callers that must
@@ -19,7 +21,8 @@ namespace ehdoe::store {
 class StoreClient {
   public:
     /// Connects and handshakes; throws when the endpoint is unreachable,
-    /// is not a store server, or refuses the protocol version.
+    /// is not a store server, or refuses the protocol version (both ends
+    /// must speak exactly net::kProtocolVersion).
     StoreClient(const std::string& host, std::uint16_t port, int timeout_seconds = 30);
     ~StoreClient();
 
@@ -34,16 +37,15 @@ class StoreClient {
     net::StoreStats stats();
 
     const std::string& endpoint() const { return endpoint_; }
-    /// The protocol version this connection settled on: the client leads
-    /// with the newest version and, when an older store names the version
-    /// it speaks in its refusal, re-dials once at that version.
-    std::uint32_t version() const { return version_; }
 
   private:
+    /// Send out_, then read the reply frame into in_.
+    bool round_trip(net::FrameKind reply, std::string& refusal);
+
     int fd_ = -1;
     std::string endpoint_;
-    std::uint32_t version_ = 0;
-    std::vector<unsigned char> scratch_;
+    std::vector<unsigned char> out_;
+    std::vector<unsigned char> in_;
 };
 
 /// One-shot stats poll of a store endpoint ("HOST:PORT"): dial, stats

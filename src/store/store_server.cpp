@@ -167,36 +167,36 @@ void StoreServer::accept_loop() {
 }
 
 void StoreServer::serve_connection(int fd) {
-    ConnectionKind kind = ConnectionKind::Unknown;
-    if (!read_connection_magic(fd, kind) || kind != ConnectionKind::Store) {
-        handshakes_rejected_.fetch_add(1);
-        return;
-    }
+    std::vector<unsigned char> in;
+    std::vector<unsigned char> out;
+    FrameKind kind{};
     std::uint32_t version = 0;
-    if (!read_store_hello_body(fd, version)) {
+    const bool hello = read_frame(fd, kind, in) && kind == FrameKind::StoreHello &&
+                       decode_version_prefix(in, version);
+    if (!hello || version != kProtocolVersion || !decode_version(in, version)) {
+        // An alien, silent or malformed peer is dropped without a reply;
+        // another protocol version is told which one this server speaks.
         handshakes_rejected_.fetch_add(1);
+        if (hello && version != kProtocolVersion) {
+            encode_error(out, version_mismatch_message(version));
+            write_all(fd, out);
+        }
         return;
     }
-    if (version < kStoreMinProtocolVersion || version > kProtocolVersion) {
-        handshakes_rejected_.fetch_add(1);
-        write_welcome(fd, kStatusError,
-                      "store server speaks " + std::to_string(kProtocolVersion) +
-                          ", client sent " + std::to_string(version),
-                      kMinProtocolVersion);
-        return;
-    }
-    if (!write_welcome(fd, kStatusOk, "", version)) return;
+    encode_welcome(out, core::telemetry::now_us());
+    if (!write_all(fd, out)) return;
 
-    std::vector<unsigned char> scratch;
     std::vector<std::string> keys;
     std::vector<StoreEntry> entries;
     std::vector<StoreLookup> lookups;
-    for (;;) {
-        std::uint64_t opcode = 0;
-        if (!read_store_opcode(fd, opcode)) return;  // EOF: clean shutdown
-        switch (opcode) {
-            case kStoreOpGet: {
-                if (!read_store_get_request_body(fd, keys)) return;
+    // Replies are encoded off the peer's own requests, so an over-cap reply
+    // (a get of many large entries) only drops this connection.
+    try {
+        for (;;) {
+            if (!read_frame(fd, kind, in)) return;  // EOF: clean shutdown
+            out.clear();
+            if (kind == FrameKind::StoreGet) {
+                if (!decode_store_get(in, keys)) return;
                 lookups.clear();
                 lookups.resize(keys.size());
                 std::uint64_t hits = 0;
@@ -206,52 +206,46 @@ void StoreServer::serve_connection(int fd) {
                 }
                 gets_served_.fetch_add(keys.size());
                 get_hits_.fetch_add(hits);
-                if (!write_store_get_reply(fd, lookups, scratch)) return;
-                break;
-            }
-            case kStoreOpPut: {
-                if (!read_store_put_request_body(fd, entries)) return;
+                encode_store_get_reply(out, lookups);
+            } else if (kind == FrameKind::StorePut) {
+                if (!decode_store_put(in, entries)) return;
                 puts_received_.fetch_add(entries.size());
                 std::uint64_t appended = 0;
-                std::uint64_t status = kStatusOk;
-                std::string message;
                 try {
                     for (const StoreEntry& e : entries) {
                         if (log_->put(e.key, e.responses)) ++appended;
                     }
                 } catch (const std::exception& e) {
-                    status = kStatusError;
-                    message = e.what();
+                    // A failing log is not retryable here: refuse and close.
+                    records_appended_.fetch_add(appended);
+                    encode_error(out, e.what());
+                    write_all(fd, out);
+                    return;
                 }
                 records_appended_.fetch_add(appended);
-                if (!write_store_put_reply(fd, status, appended, message)) return;
-                if (status != kStatusOk) return;  // a failing log is not retryable here
-                break;
-            }
-            case kStoreOpStats: {
+                encode_store_put_reply(out, appended);
+            } else if (kind == FrameKind::StoreStats && in.empty()) {
                 StoreStats stats;
-                const SegmentLogCounters c = log_->counters();
                 stats.keys = log_->size();
                 stats.segments = log_->segment_count();
-                stats.quarantined_segments = c.quarantined_segments;
+                stats.quarantined_segments = log_->counters().quarantined_segments;
                 stats.gets_served = gets_served_.load();
                 stats.get_hits = get_hits_.load();
                 stats.puts_received = puts_received_.load();
                 stats.records_appended = records_appended_.load();
                 stats.connections_accepted = connections_accepted_.load();
                 stats.uptime_seconds =
-                    std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                                  started_at_)
+                    std::chrono::duration<double>(std::chrono::steady_clock::now() - started_at_)
                         .count();
                 if (metrics_) stats.metrics = metrics_->snapshot();
-                // The reply shape follows the version this connection
-                // negotiated: a v6 client gets exactly the v6 frame.
-                if (!write_store_stats_reply(fd, kStatusOk, stats, "", version)) return;
-                break;
+                encode_store_stats_reply(out, stats);
+            } else {
+                return;  // unknown request: broken peer, drop the connection
             }
-            default:
-                return;  // unknown opcode: broken peer, drop the connection
+            if (!write_all(fd, out)) return;
         }
+    } catch (const std::length_error&) {
+        return;
     }
 }
 

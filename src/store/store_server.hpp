@@ -1,10 +1,10 @@
 // ehdoe/store/store_server.hpp
 //
 // The shared result store daemon: one SegmentLog served over TCP to every
-// farm client that opens a store connection ("EHDOER" magic, protocol v6).
-// A connection is pipelined FIFO like an eval connection — the client
-// writes opcode-framed get-batch / put-batch / stats requests and reads
-// replies in order until either side closes.
+// farm client that opens a store connection (a StoreHello frame at exactly
+// net::kProtocolVersion). A connection is pipelined FIFO like an eval
+// connection — the client writes StoreGet / StorePut / StoreStats frames
+// (net/wire.hpp) and reads replies in order until either side closes.
 //
 // Concurrency model: thread-per-connection with blocking I/O. The store's
 // work per frame is an in-memory map probe or a buffered append — there is
@@ -14,7 +14,7 @@
 // lost-update window of client-side snapshot merging cannot exist when one
 // process owns the file and applies puts one at a time).
 //
-// A malformed frame (bad opcode, insane length, truncated body) closes
+// A malformed frame (unknown kind, over-cap length, truncated body) closes
 // that connection; the log and every other connection are unaffected.
 #pragma once
 
@@ -42,7 +42,7 @@ struct StoreServerOptions {
     std::size_t max_segment_bytes = 8u << 20;
     bool verbose = true;
     /// Metrics sampling interval (core/metrics.hpp): > 0 runs a sampler
-    /// thread appending one snapshot row per interval to the ring the v7
+    /// thread appending one snapshot row per interval to the ring the
     /// store-stats reply carries. 0 (default) disables sampling entirely.
     double metrics_interval_seconds = 0.0;
     /// Ring capacity in rows (clamped to the wire's kMaxMetricSamples).
@@ -81,8 +81,7 @@ class StoreServer {
     /// Force one metrics sample now (deterministic tests; no-op when
     /// metrics sampling is disabled).
     void sample_metrics_now();
-    /// Snapshot of the metrics ring — what the v7 store-stats reply
-    /// carries (empty when sampling is disabled).
+    /// Snapshot of the metrics ring — what the store-stats reply carries (empty when sampling is disabled).
     core::metrics::RingSnapshot metrics_snapshot() const;
 
   private:

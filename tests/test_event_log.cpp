@@ -127,21 +127,16 @@ TEST_F(EventLogTest, EveryEventKindParsesWithThePrologue) {
     Event("segment_quarantine")
         .field("segment", "segment-000001.log")
         .field("records_recovered", std::uint64_t{41});
-    Event("version_downgrade")
-        .field("component", "store")
-        .field("endpoint", "127.0.0.1:4230")
-        .field("from", std::uint64_t{7})
-        .field("to", std::uint64_t{6});
     // Values needing escapes must not break the line's JSON.
     Event("redial").field("error", "connect: \"refused\"\nafter 2 tries \\ EOF");
     core::event_log::close();
 
     const std::vector<std::string> lines = journal_lines(path);
-    ASSERT_EQ(lines.size(), 10u);
+    ASSERT_EQ(lines.size(), 9u);
     const std::set<std::string> kinds = kinds_of(lines);
     for (const char* kind :
          {"listening", "redial", "rejoin", "failover_redispatch", "worker_respawn",
-          "exec_timeout", "exec_relaunch", "segment_quarantine", "version_downgrade"}) {
+          "exec_timeout", "exec_relaunch", "segment_quarantine"}) {
         EXPECT_TRUE(kinds.count(kind)) << kind;
     }
     // Kind-specific fields survive with their types.
@@ -150,7 +145,7 @@ TEST_F(EventLogTest, EveryEventKindParsesWithThePrologue) {
     EXPECT_EQ(core::json_lookup(rejoin, "version")->number, 7.0);
     const core::JsonValue timeout = parsed_event(lines[5]);
     EXPECT_EQ(core::json_lookup(timeout, "timeout_seconds")->number, 1.5);
-    const core::JsonValue escaped = parsed_event(lines[9]);
+    const core::JsonValue escaped = parsed_event(lines[8]);
     EXPECT_EQ(core::json_lookup(escaped, "error")->string,
               "connect: \"refused\"\nafter 2 tries \\ EOF");
 }

@@ -225,11 +225,11 @@ TEST(RemoteBackend, ProtocolVersionMismatchIsRejected) {
     net::Hello hello;
     hello.version = net::kProtocolVersion + 7;
     hello.fingerprint = "sim-A";
-    ASSERT_TRUE(net::write_hello(fd, hello));
-    std::uint64_t status = net::kStatusOk;
+    std::vector<unsigned char> buf;
+    net::encode_hello(buf, hello);
+    ASSERT_TRUE(net::write_all(fd, buf));
     std::string message;
-    ASSERT_TRUE(net::read_welcome(fd, status, message));
-    EXPECT_EQ(status, net::kStatusError);
+    EXPECT_FALSE(net::read_reply(fd, net::FrameKind::Welcome, buf, message));
     EXPECT_NE(message.find("protocol version mismatch"), std::string::npos) << message;
     ::close(fd);
 }

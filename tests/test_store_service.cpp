@@ -4,7 +4,7 @@
 // identical), racing put-batch writers converging to the union, corrupt
 // segments degrading to re-simulation (never failing a run), a store dying
 // mid-run falling through to the inner backend, and handshake rejection of
-// alien peers and stale protocol versions.
+// alien peers and other protocol versions.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -446,16 +446,16 @@ TEST(StoreService, SnapshotAndStoreTiersEachServeAWarmRunAlone) {
 }
 
 // ---------------------------------------------------------------------------
-// Handshake hardening: the store daemon must reject alien peers and stale
-// protocol versions without disturbing the log or other connections.
+// Handshake hardening: the store daemon must reject alien peers and any
+// other protocol version without disturbing the log or other connections.
 // ---------------------------------------------------------------------------
-TEST(StoreService, EvalMagicIsRejectedByTheStoreServer) {
+TEST(StoreService, EvalHelloIsRejectedByTheStoreServer) {
     TempDir dir("ehdoe-storesvc-alien");
     auto server = start_store(dir);
     const int fd = net_test::raw_connect(server->port());
-    const char eval_magic[6] = {'E', 'H', 'D', 'O', 'E', 'N'};
-    ASSERT_EQ(::send(fd, eval_magic, sizeof eval_magic, MSG_NOSIGNAL),
-              static_cast<ssize_t>(sizeof eval_magic));
+    std::vector<unsigned char> hello;
+    net::encode_hello(hello, net::Hello{});
+    ASSERT_TRUE(net::write_all(fd, hello));
     char buf[16];
     EXPECT_EQ(::recv(fd, buf, sizeof buf, 0), 0)
         << "an eval peer must be dropped by the store handshake";
@@ -468,18 +468,30 @@ TEST(StoreService, EvalMagicIsRejectedByTheStoreServer) {
     server->stop();
 }
 
-TEST(StoreService, PreStoreProtocolVersionIsRefusedWithAClearMessage) {
+TEST(StoreService, OtherProtocolVersionIsRefusedWithAClearMessage) {
     TempDir dir("ehdoe-storesvc-version");
     auto server = start_store(dir);
-    const int fd = net_test::raw_connect(server->port());
-    // v5 predates the store connection kind; the hello must be refused.
-    ASSERT_TRUE(net::write_store_hello(fd, net::kStoreMinProtocolVersion - 1));
-    std::uint64_t status = 0;
-    std::string message;
-    ASSERT_TRUE(net::read_welcome(fd, status, message, net::kMinProtocolVersion));
-    EXPECT_NE(status, net::kStatusOk);
-    EXPECT_NE(message.find("store server speaks"), std::string::npos) << message;
-    ::close(fd);
-    EXPECT_GE(server->handshakes_rejected(), 1u);
+    // Exact match only: the version either side of ours is refused, and the
+    // refusal names both versions.
+    for (const std::uint32_t version : {net::kProtocolVersion - 1, net::kProtocolVersion + 1}) {
+        const int fd = net_test::raw_connect(server->port());
+        std::vector<unsigned char> buf;
+        net::encode_store_hello(buf, version);
+        ASSERT_TRUE(net::write_all(fd, buf));
+        std::string message;
+        EXPECT_FALSE(net::read_reply(fd, net::FrameKind::Welcome, buf, message));
+        EXPECT_NE(message.find("protocol version mismatch"), std::string::npos) << message;
+        EXPECT_NE(message.find("server speaks " + std::to_string(net::kProtocolVersion)),
+                  std::string::npos)
+            << message;
+        EXPECT_NE(message.find("client sent " + std::to_string(version)), std::string::npos)
+            << message;
+        ::close(fd);
+    }
+    EXPECT_EQ(server->handshakes_rejected(), 2u);
+
+    // The daemon is unharmed: a real store client still round-trips.
+    store::StoreClient client("127.0.0.1", server->port());
+    EXPECT_FALSE(client.get({"k"})[0].found);
     server->stop();
 }

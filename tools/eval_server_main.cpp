@@ -31,7 +31,7 @@
 //                         Chrome trace-event JSON file on shutdown; merge
 //                         with the client's trace via ehdoe-trace
 //   --metrics-interval S  sample the health-plane metrics ring every S
-//                         seconds (core/metrics.hpp; served in the v7
+//                         seconds (core/metrics.hpp; served in the
 //                         stats reply, rendered by ehdoe-farm-top /
 //                         ehdoe-metrics-export). Default: disabled.
 //   --events FILE         append this shard's structured event journal
